@@ -134,6 +134,8 @@ class Algebra:
         self._op = None
         self._gens = None
         self._semisimple_coeffs = None
+        self._regular = None
+        self._projs = None
         if not _skip_checks:
             self._validate()
 
@@ -235,7 +237,11 @@ class Algebra:
         return self._semisimple_coeffs
 
     def regular_module(self) -> "Module":
-        return Module(self, self.dim, self.left_mult(), name=f"{self.name or 'A'}")
+        """The regular left module, built and validated once per algebra."""
+        if self._regular is None:
+            self._regular = Module(self, self.dim, self.left_mult(),
+                                   name=f"{self.name or 'A'}")
+        return self._regular
 
     # -- validation -------------------------------------------------------
 
@@ -935,15 +941,20 @@ def simples(A: Algebra):
 
 
 def projective_indecs(A: Algebra):
-    """P_i = A e_i inside the regular module."""
-    reg = A.regular_module()
-    out = []
-    for i, e in enumerate(A.idempotents):
-        Re = A.mult_by(e, "right")   # a |-> a e_i, a left-module map
-        f = ModuleMap(reg, reg, Re)
-        P, incl, _ = image_module(f, name=f"P{i + 1}")
-        out.append((P, incl))
-    return [p for p, _ in out]
+    """P_i = A e_i inside the regular module.
+
+    The modules are built once per algebra; each call returns a new list
+    of the same objects.
+    """
+    if A._projs is None:
+        reg = A.regular_module()
+        projs = []
+        for i, e in enumerate(A.idempotents):
+            Re = A.mult_by(e, "right")   # a |-> a e_i, a left-module map
+            P, _, _ = image_module(ModuleMap(reg, reg, Re), name=f"P{i + 1}")
+            projs.append(P)
+        A._projs = projs
+    return list(A._projs)
 
 
 def rad(M: Module):

@@ -197,9 +197,19 @@ class Matrix:
             raise ValueError(f"shape mismatch in *: {self.a.shape} x {other.a.shape}")
         if self.a.size == 0 or other.a.size == 0:
             return Matrix.zeros(self.field, self.rows, other.cols)
-        c = self.a @ other.a
-        if self.field.is_prime_field:
-            c %= self.field.p
+        if not self.field.is_prime_field:
+            return Matrix(self.field, self.a @ other.a)
+        p = self.field.p
+        # the int64 sum of `step` products of residues cannot overflow
+        step = max(1, (2**63 - 1) // (p - 1) ** 2)
+        if self.cols <= step:
+            c = self.a @ other.a
+            c %= p
+            return Matrix(self.field, c)
+        c = np.zeros((self.rows, other.cols), dtype=np.int64)
+        for s in range(0, self.cols, step):
+            c += self.a[:, s:s + step] @ other.a[s:s + step, :] % p
+            c %= p
         return Matrix(self.field, c)
 
     def scale(self, s) -> "Matrix":

@@ -93,7 +93,10 @@ class FrobeniusContext:
 
     The resolution bound defaults to 2n + 4 once the parameter is known
     (finitistic dimension of the algebra is at most n, so dimension-finite
-    detection terminates within the bound); exceeding it raises.
+    detection terminates within the bound); exceeding it raises.  ``bound``
+    only caps resolutions: ``is_n_projective`` resolves to depth n, which
+    decides pd M <= n, and deeper terms are built when a unit conflation
+    or a lift asks for them.
     """
 
     def __init__(self, algebra: Algebra, bound: int | None = None,
@@ -120,7 +123,6 @@ class FrobeniusContext:
         self._unit_down = {}
         self._unit_up = {}
         self._envelopes = {}
-        self._projs = None
         self._opposite = None
 
     def opposite(self) -> "FrobeniusContext":
@@ -156,15 +158,13 @@ class FrobeniusContext:
         key = id(M)
         hit = self._nproj.get(key)
         if hit is None:
-            pd = self.proj_dim(M)
-            hit = (M, pd is not None and pd <= self.n)
+            # pd M <= n is decided at depth n; deeper terms stay lazy
+            hit = (M, self.proj_dim(M, self.n) is not None)
             self._nproj[key] = hit
         return hit[1]
 
     def projective_list(self):
-        if self._projs is None:
-            self._projs = projective_indecs(self.algebra)
-        return self._projs
+        return projective_indecs(self.algebra)
 
     # -- unit conflations ---------------------------------------------------
 
@@ -178,10 +178,12 @@ class FrobeniusContext:
             raise ValueError("unit conflation needs k >= 1")
         res = self.resolver.resolution(N)
         c = res.truncation(k)
-        for mid in c.middles:
+        for i, mid in enumerate(c.middles):
             if not self.is_n_projective(mid):
                 raise CertificationError(
-                    "projective middle term fails relative projectivity")
+                    f"unit conflation of {N.name or N} in degree {k}: projective "
+                    f"middle term P{k - 1 - i} of dimension {mid.dim} fails "
+                    f"relative projectivity")
         # canonical cocycle: the cover P_k ->> syzygy is the comparison lift
         elt = ExtElement(self.resolver, N, res.syzygy(k), k, res.cover(k),
                          _skip_checks=True)

@@ -10,8 +10,9 @@ independent oracle for the cocycle arithmetic.
 
 A :class:`Resolver` owns every cache (resolutions, coresolutions via the
 opposite algebra, hom bases, Ext spaces, chain lifts).  Cached data is
-immutable once computed; inserts are serialized by a lock so concurrent
-readers are safe.
+immutable once computed, except that resolutions and chain lifts grow in
+place; inserts and in-place growth are serialized by one lock, shared with
+the opposite resolver, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -74,21 +75,27 @@ class Resolution:
         self.finished = M.dim == 0
 
     def extend(self, length: int):
-        while len(self.terms) <= length and not self.finished:
-            if len(self.terms) > self.resolver.bound:
-                raise ResolutionBoundError(
-                    f"resolution of {self.module.name or self.module} exceeded "
-                    f"bound {self.resolver.bound}")
-            K = self.syzygies[-1]
-            P, cover = projective_cover(K)
-            ker, incl = kernel_module(cover, name=f"syz{len(self.terms) + 1}"
-                                                  f"({self.module.name})")
-            self.terms.append(P)
-            self.covers.append(cover)
-            self.incls.append(incl)
-            self.syzygies.append(ker)
-            if ker.dim == 0:
-                self.finished = True
+        if len(self.terms) > length or self.finished:
+            return self
+        with self.resolver._lock:
+            while len(self.terms) <= length and not self.finished:
+                if len(self.terms) > self.resolver.bound:
+                    raise ResolutionBoundError(
+                        f"resolution of {self.module.name or self.module} "
+                        f"exceeded bound {self.resolver.bound}")
+                K = self.syzygies[-1]
+                P, cover = projective_cover(K)
+                ker, incl = kernel_module(cover,
+                                          name=f"syz{len(self.terms) + 1}"
+                                               f"({self.module.name})")
+                # terms last: a reader that sees P_k also sees its cover,
+                # inclusion and syzygy
+                self.covers.append(cover)
+                self.incls.append(incl)
+                self.syzygies.append(ker)
+                self.terms.append(P)
+                if ker.dim == 0:
+                    self.finished = True
         return self
 
     def term(self, k: int) -> Module:
@@ -232,6 +239,9 @@ class Resolver:
             with self._lock:
                 if self._op is None:
                     op = Resolver(self.algebra.opposite(), self.bound)
+                    # one lock for both sides: a coresolution on one side resolves
+                    # on the other, so two locks could be taken in either order
+                    op._lock = self._lock
                     op._op = self
                     self._op = op
         return self._op
@@ -276,26 +286,29 @@ class Resolver:
     def lift(self, f: ModuleMap, length: int):
         """Chain maps f_k: P_k(source) -> P_k(target) over f, k <= length."""
         key = id(f)
+        entry = self._lifts.get(key)
+        if entry is not None and len(entry[1]) > length:
+            return entry[1]
         with self._lock:
             entry = self._lifts.get(key)
             if entry is None:
                 entry = (f, [])
                 self._lifts[key] = entry
-        chain = entry[1]
-        src = self.resolution(f.source)
-        dst = self.resolution(f.target)
-        while len(chain) <= length:
-            k = len(chain)
-            if k == 0:
-                rhs = f * src.augmentation()
-                post = dst.augmentation()
-            else:
-                rhs = chain[k - 1] * src.diff(k)
-                post = dst.diff(k)
-            fk = self.solve_post(src.term(k), dst.term(k), post, rhs)
-            if fk is None:
-                raise RuntimeError("comparison lift failed on exact input")
-            chain.append(fk)
+            chain = entry[1]
+            src = self.resolution(f.source)
+            dst = self.resolution(f.target)
+            while len(chain) <= length:
+                k = len(chain)
+                if k == 0:
+                    rhs = f * src.augmentation()
+                    post = dst.augmentation()
+                else:
+                    rhs = chain[k - 1] * src.diff(k)
+                    post = dst.diff(k)
+                fk = self.solve_post(src.term(k), dst.term(k), post, rhs)
+                if fk is None:
+                    raise RuntimeError("comparison lift failed on exact input")
+                chain.append(fk)
         return chain
 
     # -- linear solves in hom spaces ---------------------------------

@@ -186,3 +186,37 @@ def test_quotient_projection_identity(A):
     assert proj * reps == Matrix.identity(F3, reps.cols)
     assert (proj * A).is_zero()
     assert reps.cols == A.rows - rank(A)
+
+
+# -- products over large primes ------------------------------------------
+
+def _int_product(A, B):
+    """Reference product in Python integers, reduced once at the end."""
+    p = A.field.p
+    return [[sum(int(A[i, k]) * int(B[k, j]) for k in range(A.cols)) % p
+             for j in range(B.cols)] for i in range(A.rows)]
+
+
+@pytest.mark.parametrize("p", [65521, 2**31 - 1])
+def test_mul_top_residues_large_prime(p):
+    F = GF(p)
+    row = Matrix.from_rows(F, [[p - 1] * 3])
+    assert (row * row.transpose()).a.tolist() == [[3]]
+
+
+@pytest.mark.parametrize("p", [65521, 2**31 - 1])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mul_matches_integer_product_large_prime(p, data):
+    F = GF(p)
+    # bias towards p - 1, where partial sums are largest
+    entry = st.one_of(st.just(p - 1), st.integers(min_value=0, max_value=p - 1))
+
+    def matrix(rows, cols):
+        row = st.lists(entry, min_size=cols, max_size=cols)
+        return Matrix.from_rows(F, data.draw(st.lists(row, min_size=rows,
+                                                      max_size=rows)))
+
+    m, k, n = (data.draw(st.integers(min_value=1, max_value=7)) for _ in range(3))
+    A, B = matrix(m, k), matrix(k, n)
+    assert (A * B).a.tolist() == _int_product(A, B)

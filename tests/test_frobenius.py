@@ -9,7 +9,8 @@ from stablext.fixtures import (
     trunc_poly,
 )
 from stablext.frobenius import (
-    FrobeniusContext, gorenstein_one_search, gorenstein_parameter, proj_dim,
+    CertificationError, FrobeniusContext, gorenstein_one_search,
+    gorenstein_parameter, proj_dim,
 )
 from stablext.resolve import Resolver
 
@@ -97,6 +98,28 @@ def test_nproj_equals_ninj(dn_ctx, a2_ctx, t2_ctx):
             assert left == right, (ctx.algebra.name, M.name, pd, idim)
 
 
+def test_depth_n_shortcut_matches_full_depth(dn_ctx, a2_ctx, t2_ctx):
+    # is_n_projective resolves only to depth n; a fresh resolver at the
+    # full bound is the oracle, so neither answer reads the other's cache
+    for ctx in (dn_ctx, a2_ctx, t2_ctx):
+        oracle = Resolver(ctx.algebra, bound=ctx.bound)
+        for M in indecomposable_inventory(ctx):
+            pd = proj_dim(oracle, M, ctx.bound)
+            assert ctx.is_n_projective(M) == (pd is not None and pd <= ctx.n), \
+                (ctx.algebra.name, M.name, pd)
+
+
+def test_projectives_built_once(dn_ctx, t2_ctx):
+    for A in (dn_ctx.algebra, t2_ctx.algebra):
+        first, second = projective_indecs(A), projective_indecs(A)
+        assert first is not second
+        assert all(P is Q for P, Q in zip(first, second))
+        assert len(first) == len(second) == A.n_idempotents
+        first.clear()
+        assert len(projective_indecs(A)) == A.n_idempotents
+        assert A.regular_module() is A.regular_module()
+
+
 # -- unit conflations ----------------------------------------------------------
 
 def test_unit_down_projective_splits(dn_ctx):
@@ -117,6 +140,19 @@ def test_unit_up_simple(dn_ctx):
     u = dn_ctx.unit_up(S, 1)
     assert [m.dim for m in u.conflation.modules] == [1, 2, 1]
     assert is_isomorphic(u.right, S)
+
+
+def test_unit_down_failure_names_module_and_step(t2_ctx, monkeypatch):
+    # a fresh context, so no cached unit conflation answers for it
+    ctx = FrobeniusContext(t2_ctx.algebra, _known_n=t2_ctx.n)
+    S = simples(ctx.algebra)[0]
+    monkeypatch.setattr(ctx, "is_n_projective", lambda M: False)
+    P1 = ctx.resolver.resolution(S).term(1)
+    with pytest.raises(CertificationError) as err:
+        ctx.unit_down(S, 2)
+    assert str(err.value) == (
+        f"unit conflation of {S.name} in degree 2: projective middle term P1 "
+        f"of dimension {P1.dim} fails relative projectivity")
 
 
 def test_units_exist_through_degree(dn_ctx, t2_ctx):

@@ -378,3 +378,42 @@ def test_concurrent_reads_share_cache():
     for n, ident in seen:
         by_degree.setdefault(n, set()).add(ident)
     assert all(len(v) == 1 for v in by_degree.values())
+
+
+def test_concurrent_lifts_extend_once():
+    # in-place growth of a cached lift chain and of the resolutions under
+    # it must be serialized: every thread asks for the same five maps
+    import sys
+    import threading
+    from stablext.fixtures import cyclic_nakayama
+    A = cyclic_nakayama(GF(2), (3, 3, 4))
+    R = Resolver(A, bound=8)
+    f = identity_map(simples(A)[0])
+    chains = []
+    errors = []
+
+    def work():
+        try:
+            chains.append(R.lift(f, 4))
+        except Exception as e:  # noqa: BLE001
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(chains) == 8
+    chain = chains[0]
+    assert all(c is chain for c in chains)
+    assert len(chain) == 5
+    res = R.resolution(f.source)
+    for k, fk in enumerate(chain):
+        assert fk.source is res.term(k) and fk.target is res.term(k)
