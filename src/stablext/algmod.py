@@ -957,36 +957,37 @@ def projective_indecs(A: Algebra):
     return list(A._projs)
 
 
+def _radical_actions(M: Module):
+    """The arrays of M.act(J_k), one per spanning column J_k of rad A."""
+    F, J = M.algebra.field, M.algebra.radical_span
+    return [M.act(Matrix(F, J.a[:, [k]])).a for k in range(J.cols)]
+
+
+def _radical_span(M: Module) -> Matrix:
+    """The nonzero columns of all M.act(J_k) side by side; they span JM.
+
+    Zero columns are never pivots, so dropping them leaves the span and
+    its column_space_basis unchanged and shrinks every elimination on it.
+    """
+    F = M.algebra.field
+    cols = np.hstack([F.zeros(M.dim, 0), *_radical_actions(M)])
+    return Matrix(F, cols[:, np.any(cols != F.of(0), axis=0)])
+
+
 def rad(M: Module):
     """(JM, inclusion)."""
-    A, F = M.algebra, M.algebra.field
-    J = A.radical_span
-    cols = Matrix.zeros(F, M.dim, 0)
-    for k in range(J.cols):
-        jk = Matrix(F, J.a[:, [k]])
-        cols = cols.hstack(M.act(jk))
-    return submodule(M, column_space_basis(cols), name=f"rad({M.name})")
+    return submodule(M, column_space_basis(_radical_span(M)), name=f"rad({M.name})")
 
 
 def top(M: Module):
     """(M/JM, projection, reps)."""
-    A, F = M.algebra, M.algebra.field
-    J = A.radical_span
-    cols = Matrix.zeros(F, M.dim, 0)
-    for k in range(J.cols):
-        jk = Matrix(F, J.a[:, [k]])
-        cols = cols.hstack(M.act(jk))
-    return quotient_module(M, column_space_basis(cols), name=f"top({M.name})")
+    return quotient_module(M, column_space_basis(_radical_span(M)), name=f"top({M.name})")
 
 
 def socle(M: Module):
     """({m : Jm = 0}, inclusion)."""
-    A, F = M.algebra, M.algebra.field
-    J = A.radical_span
-    if J.cols == 0:
-        return submodule(M, Matrix.identity(F, M.dim), name=f"soc({M.name})")
-    stacked = Matrix(F, np.vstack([M.act(Matrix(F, J.a[:, [k]])).a
-                                   for k in range(J.cols)]))
+    F = M.algebra.field
+    stacked = Matrix(F, np.vstack([F.zeros(0, M.dim), *_radical_actions(M)]))
     return submodule(M, kernel_basis(stacked), name=f"soc({M.name})")
 
 
@@ -1000,39 +1001,39 @@ def projective_cover(M: Module):
     if M.dim == 0:
         Z = zero_module(A)
         return Z, ModuleMap(Z, M, Matrix.zeros(F, 0, 0), _skip_checks=True)
+    where = f"projective cover of {M.name or '?'} (dim {M.dim})"
     T, q, _ = top(M)
     projs = projective_indecs(A)
     summands = []
     blocks = []
     for i, e in enumerate(A.idempotents):
         Vi = column_space_basis(T.act(e))
-        for t in range(Vi.cols):
-            tvec = Matrix(F, Vi.a[:, [t]])
-            v = solve(q.matrix, tvec)
-            if v is None:
-                raise ModuleError("projection preimage failed")
-            w = M.act(e) * v
-            P = projs[i]
-            # P_i lives inside A: its basis vectors are algebra elements
-            incl = _projective_inclusion(A, i)
-            cols = Matrix.zeros(F, M.dim, P.dim)
-            for k in range(P.dim):
-                p_coords = Matrix(F, incl.a[:, [k]])
-                cols.a[:, k] = (M.act(p_coords) * w).a[:, 0]
-            summands.append(P)
-            blocks.append(cols)
+        if Vi.cols == 0:
+            continue
+        # lift all top generators at vertex i with one elimination
+        V = solve(q.matrix, Vi)
+        if V is None:
+            raise ModuleError(f"{where}: projection preimage failed at vertex {i + 1}")
+        W = M.act(e) * V
+        # P_i lives inside A: its basis vectors are algebra elements; basis
+        # vector k of the copy of P_i for generator t maps to p_k * W[:, t]
+        incl = _projective_inclusion(A, i)
+        images = np.stack([(M.act(Matrix(F, incl.a[:, [k]])) * W).a
+                           for k in range(incl.cols)], axis=2)
+        summands.extend([projs[i]] * Vi.cols)
+        blocks.append(images.reshape(M.dim, Vi.cols * incl.cols))
     if not summands:
         raise ModuleError(f"{M.name}: zero top on a nonzero module")
-    P, injs, _ = direct_sum(summands, name=f"P({M.name})")
-    mat = Matrix(F, np.hstack([b.a for b in blocks]))
+    P, _, _ = direct_sum(summands, name=f"P({M.name})")
+    mat = Matrix(F, np.hstack(blocks))
     f = ModuleMap(P, M, mat)
     if not f.is_surjective():
-        raise ModuleError("projective cover lift is not surjective")
+        raise ModuleError(f"{where}: lift is not surjective")
+    # kernel inside rad P, tested on the span of the columns of J.P
     ker = kernel_basis(mat)
-    _, rad_incl = rad(P)
-    radspan = rad_incl.matrix
+    radspan = _radical_span(P)
     if rank(radspan.hstack(ker)) != rank(radspan):
-        raise ModuleError("projective cover is not minimal: kernel not in rad P")
+        raise ModuleError(f"{where}: not minimal, kernel not in rad P")
     return P, f
 
 

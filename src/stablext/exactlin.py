@@ -4,8 +4,11 @@ Everything downstream (hom spaces, Ext groups, coset spaces) reduces to the
 four primitives here: ``rref``, ``kernel_basis``, ``solve`` and
 ``quotient_reps``.  All arithmetic is exact: rationals are
 ``fractions.Fraction`` held in numpy object arrays, prime fields are int64
-residues.  Pivoting is leftmost-column-first, topmost-row-first, so every
-basis produced anywhere in the package is reproducible across runs.
+residues.  Large F_p products run on float64 BLAS, but only when every
+partial sum is an integer below 2^53, so each is computed exactly and the
+result is converted back to int64 residues; no result is ever a float.
+Pivoting is leftmost-column-first, topmost-row-first, so every basis
+produced anywhere in the package is reproducible across runs.
 """
 
 from __future__ import annotations
@@ -96,6 +99,11 @@ QQ = Field()
 
 def GF(p: int) -> Field:
     return Field(p)
+
+
+# Below this many multiply-adds numpy's int64 matmul beats the float64
+# round trip through BLAS.
+_BLAS_MIN_MADDS = 4096
 
 
 class Matrix:
@@ -200,6 +208,13 @@ class Matrix:
         if not self.field.is_prime_field:
             return Matrix(self.field, self.a @ other.a)
         p = self.field.p
+        if (self.cols * (p - 1) ** 2 < 2**53
+                and self.rows * self.cols * other.cols >= _BLAS_MIN_MADDS):
+            # every partial sum is an integer below 2^53, so float64 BLAS
+            # computes it exactly (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008)
+            c = (self.a.astype(np.float64) @ other.a.astype(np.float64)).astype(np.int64)
+            c %= p
+            return Matrix(self.field, c)
         # the int64 sum of `step` products of residues cannot overflow
         step = max(1, (2**63 - 1) // (p - 1) ** 2)
         if self.cols <= step:
@@ -272,6 +287,9 @@ def _rref_array(field: Field, a: np.ndarray):
     pivots = []
     r = 0
     zero = field.of(0)
+    # Invariant: rows r and below are zero in every column left of c.  So
+    # the pivot row is zero left of c, and the swap, the scaling and the
+    # row updates only ever change columns c and to the right.
     for c in range(ncols):
         if r >= nrows:
             break
@@ -282,19 +300,19 @@ def _rref_array(field: Field, a: np.ndarray):
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i], :] = a[[i, r], :]
+            a[[r, i], c:] = a[[i, r], c:]
         piv = a[r, c]
         if piv != field.of(1):
-            a[r, :] = a[r, :] * field.inv(piv)
+            a[r, c:] = a[r, c:] * field.inv(piv)
             if field.is_prime_field:
-                a[r, :] %= field.p
+                a[r, c:] %= field.p
         col = a[:, c].copy()
         col[r] = zero
         hit = np.nonzero(col != zero)[0]
         if hit.size:
-            a[hit, :] = a[hit, :] - np.outer(col[hit], a[r, :])
+            a[hit, c:] = a[hit, c:] - np.outer(col[hit], a[r, c:])
             if field.is_prime_field:
-                a[hit, :] %= field.p
+                a[hit, c:] %= field.p
         pivots.append(c)
         r += 1
     return pivots
@@ -314,18 +332,25 @@ def rank(A: Matrix) -> int:
 def kernel_basis(A: Matrix) -> Matrix:
     """Columns form the canonical free-variable basis of {x : Ax = 0}."""
     R, pivots = rref(A)
-    n = A.cols
-    free = [j for j in range(n) if j not in pivots]
-    K = A.field.zeros(n, len(free))
-    one = A.field.of(1)
-    for k, j in enumerate(free):
-        K[j, k] = one
-        for i, c in enumerate(pivots):
-            v = -R.a[i, j]
-            if A.field.is_prime_field:
-                v %= A.field.p
-            K[c, k] = v
+    free = _free_columns(A.cols, pivots)
+    K = A.field.zeros(A.cols, len(free))
+    K[free, np.arange(len(free))] = A.field.of(1)
+    K[pivots, :] = _negated_pivot_entries(A.field, R, pivots, free)
     return Matrix(A.field, K)
+
+
+def _free_columns(n: int, pivots) -> np.ndarray:
+    """The non-pivot indices among 0..n-1, ascending."""
+    pset = set(pivots)
+    return np.array([j for j in range(n) if j not in pset], dtype=np.intp)
+
+
+def _negated_pivot_entries(field: Field, R: Matrix, pivots, free) -> np.ndarray:
+    """-R[i, j] for pivot rows i and free columns j, as field elements."""
+    v = -R.a[:len(pivots), free]
+    if field.is_prime_field:
+        v %= field.p
+    return v
 
 
 def solve(A: Matrix, b: Matrix):
@@ -345,8 +370,7 @@ def solve(A: Matrix, b: Matrix):
     if any(c >= n for c in pivots):
         return None
     X = A.field.zeros(n, b.cols)
-    for i, c in enumerate(pivots):
-        X[c, :] = aug[i, n:]
+    X[pivots, :] = aug[:len(pivots), n:]
     return Matrix(A.field, X)
 
 
@@ -362,21 +386,13 @@ def quotient_reps(ambient_dim: int, sub: Matrix):
     if sub.rows != ambient_dim:
         raise ValueError(f"sub lives in k^{sub.rows}, expected k^{ambient_dim}")
     R, pivots = rref(sub.transpose())
-    free = [j for j in range(ambient_dim) if j not in pivots]
+    free = _free_columns(ambient_dim, pivots)
     reps = field.zeros(ambient_dim, len(free))
-    one = field.of(1)
-    for k, j in enumerate(free):
-        reps[j, k] = one
+    reps[free, np.arange(len(free))] = field.of(1)
     # One reduction pass v -> v - sum_i v[c_i] R_i zeroes every pivot
     # coordinate (rows are fully reduced), so the free coordinates of the
     # result are the quotient coordinates:
     #   project[k, m] = delta(m, free_k) - R_i[free_k] when m = pivot c_i.
-    proj = field.zeros(len(free), ambient_dim)
-    for k, j in enumerate(free):
-        proj[k, j] = one
-        for i, c in enumerate(pivots):
-            v = -R.a[i, j]
-            if field.is_prime_field:
-                v %= field.p
-            proj[k, c] = v
+    proj = reps.T.copy()
+    proj[:, pivots] = _negated_pivot_entries(field, R, pivots, free).T
     return Matrix(field, reps), Matrix(field, proj)

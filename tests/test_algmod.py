@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from stablext.exactlin import GF, QQ, Matrix, rank
+import stablext.algmod as algmod
+from stablext.exactlin import GF, QQ, Matrix, kernel_basis, rank, solve
 from stablext.algmod import (
     AlgebraError, ConflationError, Conflation, ModuleError, QuiverPresentation,
     algebra_from_quiver, check_conflation, cokernel_module, direct_sum,
@@ -11,10 +13,13 @@ from stablext.algmod import (
     mediating_map_pullback, projective_cover, projective_indecs, pullback,
     pushout, quotient_module, rad, random_hom, simples, socle, splice,
     submodule, top, zero_map, zero_module, ModuleMap, Module,
+    _projective_inclusion, column_space_basis,
 )
 from stablext.fixtures import (
-    dual_numbers, hereditary_a2, t2_dual_numbers, trunc_poly,
+    dual_numbers, hereditary_a2, indecomposable_inventory, t2_dual_numbers,
+    trunc_poly,
 )
+from stablext.frobenius import FrobeniusContext
 
 F2 = GF(2)
 F3 = GF(3)
@@ -364,3 +369,80 @@ def test_mediating_map_unique(dn):
     W, pX, pY = pullback(f, f)
     stacked = Matrix(dn.field, np.vstack([pX.matrix.a, pY.matrix.a]))
     assert kernel_basis(stacked).cols == 0
+
+
+# -- projective cover against the per-generator reference -----------------
+
+def _reference_projective_cover(M):
+    """Projective cover lifting one top generator at a time, with rad(P)
+    built as a submodule: the straightforward construction, kept as the
+    oracle for the batched one."""
+    A, F = M.algebra, M.algebra.field
+    T, q, _ = top(M)
+    projs = projective_indecs(A)
+    summands, blocks = [], []
+    for i, e in enumerate(A.idempotents):
+        Vi = column_space_basis(T.act(e))
+        for t in range(Vi.cols):
+            v = solve(q.matrix, Matrix(F, Vi.a[:, [t]]))
+            assert v is not None
+            w = M.act(e) * v
+            incl = _projective_inclusion(A, i)
+            cols = Matrix.zeros(F, M.dim, projs[i].dim)
+            for k in range(projs[i].dim):
+                cols.a[:, k] = (M.act(Matrix(F, incl.a[:, [k]])) * w).a[:, 0]
+            summands.append(projs[i])
+            blocks.append(cols)
+    P, _, _ = direct_sum(summands, name=f"P({M.name})")
+    mat = Matrix(F, np.hstack([b.a for b in blocks]))
+    f = ModuleMap(P, M, mat)
+    assert f.is_surjective()
+    radspan = rad(P)[1].matrix
+    assert rank(radspan.hstack(kernel_basis(mat))) == rank(radspan)
+    return P, f
+
+
+def _assert_same_cover(M):
+    P, f = projective_cover(M)
+    P0, f0 = _reference_projective_cover(M)
+    assert P.name == P0.name and P == P0
+    assert f.matrix == f0.matrix
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dual_numbers(GF(2)), lambda: hereditary_a2(QQ),
+    lambda: t2_dual_numbers(GF(2)),
+], ids=["dual-numbers", "hereditary-a2", "t2-dual-numbers"])
+def test_cover_matches_reference_on_inventory(make):
+    ctx = FrobeniusContext(make())
+    inventory = indecomposable_inventory(ctx)
+    assert inventory
+    for M in inventory:
+        _assert_same_cover(M)
+
+
+def test_cover_matches_reference_on_wild_resolution():
+    # k<a,b>/(a,b)^2 over GF(2): the syzygies double in dimension, and from
+    # P_5 on the cover's own products are large enough for float64 BLAS
+    q = QuiverPresentation(F2, ["o"], [("a", "o", "o"), ("b", "o", "o")],
+                           [[(1, (x, y))] for x in "ab" for y in "ab"])
+    A = algebra_from_quiver(q)
+    M = simples(A)[0]
+    for _ in range(6):          # the terms P_0 .. P_5
+        _assert_same_cover(M)
+        M, _ = kernel_module(projective_cover(M)[1])
+
+
+@pytest.mark.parametrize("name, patch, message", [
+    ("solve", lambda *a: None, "projection preimage failed at vertex 1"),
+    ("rank", lambda *a: -1, "lift is not surjective"),
+    ("kernel_basis", lambda A: Matrix.identity(A.field, A.cols), "not minimal"),
+], ids=["preimage", "surjective", "minimal"])
+def test_cover_errors_name_module_and_step(dn, monkeypatch, name, patch, message):
+    projective_indecs(dn)       # built before the patch
+    S = simples(dn)[0]
+    monkeypatch.setattr(algmod, name, patch)
+    with pytest.raises(ModuleError) as err:
+        projective_cover(S)
+    assert str(err.value).startswith("projective cover of S1 (dim 1): ")
+    assert message in str(err.value)

@@ -1,8 +1,9 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stablext.exactlin import (
     GF, QQ, FieldMismatch, Matrix, kernel_basis, quotient_reps, rank, rref, solve,
@@ -10,6 +11,7 @@ from stablext.exactlin import (
 
 F2 = GF(2)
 F3 = GF(3)
+F65521 = GF(65521)
 
 
 def is_reduced_echelon(R, pivots):
@@ -220,3 +222,89 @@ def test_mul_matches_integer_product_large_prime(p, data):
     m, k, n = (data.draw(st.integers(min_value=1, max_value=7)) for _ in range(3))
     A, B = matrix(m, k), matrix(k, n)
     assert (A * B).a.tolist() == _int_product(A, B)
+
+
+# Every prime regime of Matrix.__mul__: small p, 94906249 (the largest prime
+# with (p-1)^2 < 2^53, float64 BLAS only for inner dimension 1), 94906297
+# (the first prime above it) and 2^31-1 (several int64 blocks).
+MUL_PRIMES = [2, 3, 65521, 94906249, 94906297, 2**31 - 1]
+
+
+@pytest.mark.parametrize("p", MUL_PRIMES)
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 24), k=st.integers(1, 24), n=st.integers(1, 24),
+       top=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(m=16, k=16, n=16, top=True, seed=0)      # exactly 4096 multiply-adds
+@example(m=16, k=16, n=15, top=True, seed=0)      # just below
+@example(m=64, k=1, n=64, top=True, seed=0)       # inner dimension 1
+@example(m=1, k=24, n=1, top=True, seed=0)
+def test_mul_matches_python_int_product(p, m, k, n, top, seed):
+    F = GF(p)
+    rng = np.random.default_rng(seed)
+
+    def operand(rows, cols):
+        if top:     # all entries p - 1: the largest partial sums
+            return Matrix(F, np.full((rows, cols), p - 1, dtype=np.int64))
+        return Matrix(F, rng.integers(0, p, size=(rows, cols), dtype=np.int64))
+
+    A, B = operand(m, k), operand(k, n)
+    C = A * B
+    assert C.a.dtype == np.int64
+    # object arrays multiply in Python integers: the unbounded reference
+    assert C.a.tolist() == (A.a.astype(object) @ B.a.astype(object) % p).tolist()
+
+
+# -- the elimination properties over a large prime -------------------------
+
+def _prime_matrices(field):
+    """Small matrices whose entries favour 0, 1 and p-1, so ranks vary."""
+    p = field.p
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]),
+                      st.integers(min_value=0, max_value=p - 1))
+    return st.integers(min_value=1, max_value=5).flatmap(
+        lambda m: st.integers(min_value=1, max_value=5).flatmap(
+            lambda n: st.lists(
+                st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m,
+            ).map(lambda rows: Matrix.from_rows(field, rows))))
+
+
+@pytest.mark.parametrize("field", [F3, F65521], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rref_contract_prime(field, data):
+    A = data.draw(_prime_matrices(field))
+    R, pivots = rref(A)
+    assert is_reduced_echelon(R, pivots)
+    assert same_row_space(A, R)
+    assert rref(R) == (R, pivots)
+
+
+@pytest.mark.parametrize("field", [F65521], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_properties_prime(field, data):
+    A = data.draw(_prime_matrices(field))
+    K = kernel_basis(A)
+    assert rank(A) + K.cols == A.cols
+    assert (A * K).is_zero()
+
+
+@pytest.mark.parametrize("field", [F3, F65521], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_solve_exact_on_success_prime(field, data):
+    A = data.draw(_prime_matrices(field))
+    b = A * Matrix.column(field, list(range(1, A.cols + 1)))
+    x = solve(A, b)
+    assert x is not None and A * x == b
+
+
+@pytest.mark.parametrize("field", [F65521], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quotient_projection_identity_prime(field, data):
+    A = data.draw(_prime_matrices(field))
+    reps, proj = quotient_reps(A.rows, A)
+    assert proj * reps == Matrix.identity(field, reps.cols)
+    assert (proj * A).is_zero()
+    assert reps.cols == A.rows - rank(A)
