@@ -11,13 +11,15 @@ the shipped fixtures, then run computations or the acceptance batteries::
 Fixture workspaces register the simple modules as S1, S2, ..., the
 indecomposable projectives as P1, ..., the indecomposable injectives as
 I1, ..., and the regular module as A.  Exit codes: 0 success, 1 assertion
-failure, 2 input error.  Output is deterministic: identical invocations
-print identical bytes.
+failure (or stdout closed by its reader, which ends the run quietly), 2
+input error.  Output is deterministic: identical invocations print
+identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .algmod import (
@@ -190,8 +192,19 @@ def main(argv=None) -> int:
                    help="criterion numbers (default: all)")
 
     args = parser.parse_args(argv)
-    out = print
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush
+        # at interpreter exit cannot fail again, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
+
+def _run(args) -> int:
+    out = print
     handlers = {
         "check": cmd_check, "gorenstein": cmd_gorenstein, "ext": cmd_ext,
         "pspace": cmd_pspace, "sigma": cmd_sigma, "phantom": cmd_phantom,

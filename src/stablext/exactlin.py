@@ -138,6 +138,13 @@ class Matrix:
         return cls(field, a)
 
     @classmethod
+    def unit(cls, field: Field, n: int, j: int) -> "Matrix":
+        """The j-th standard basis column of length n."""
+        a = field.zeros(n, 1)
+        a[j, 0] = field.of(1)
+        return cls(field, a)
+
+    @classmethod
     def column(cls, field: Field, entries) -> "Matrix":
         return cls.from_rows(field, [[x] for x in entries])
 

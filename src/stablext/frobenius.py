@@ -19,9 +19,9 @@ import numpy as np
 from .exactlin import Matrix, rank
 from .algmod import (
     Algebra, Conflation, Module, ModuleMap, cokernel_module, column_space_basis,
-    projective_indecs, simples,
+    injective_envelope, projective_indecs, simples,
 )
-from .resolve import ExtElement, Resolver, class_from_sequence
+from .resolve import ExtElement, Memo, Resolver, class_from_sequence
 
 __all__ = [
     "CertificationError", "UnitConflation", "FrobeniusContext",
@@ -97,6 +97,12 @@ class FrobeniusContext:
     only caps resolutions: ``is_n_projective`` resolves to depth n, which
     decides pd M <= n, and deeper terms are built when a unit conflation
     or a lift asks for them.
+
+    Every context-level cache (envelopes, relative projectivity, unit
+    conflations, Gorenstein projectivity, and the phantom and stable-hom
+    objects of :mod:`stablext.phantom` and :mod:`stablext.stablecat`) is
+    the one :class:`~stablext.resolve.Memo` ``memo``, serialized by the
+    resolver's lock, so threads sharing a context get one object per key.
     """
 
     def __init__(self, algebra: Algebra, bound: int | None = None,
@@ -118,11 +124,7 @@ class FrobeniusContext:
         self.bound = bound if bound is not None else 2 * n + 4
         self.resolver.bound = max(self.resolver.bound, self.bound)
         self.resolver.opposite().bound = self.resolver.bound
-        self._nproj = {}
-        self._gproj = {}
-        self._unit_down = {}
-        self._unit_up = {}
-        self._envelopes = {}
+        self.memo = Memo(self.resolver._lock)
         self._opposite = None
 
     def opposite(self) -> "FrobeniusContext":
@@ -137,14 +139,7 @@ class FrobeniusContext:
 
     def envelope(self, M: Module):
         """Cached injective envelope inflation M -> I(M)."""
-        key = id(M)
-        hit = self._envelopes.get(key)
-        if hit is None:
-            from .algmod import injective_envelope
-            I, infl = injective_envelope(M)
-            hit = (M, infl)
-            self._envelopes[key] = hit
-        return hit[1]
+        return self.memo("envelope", (M,), lambda: injective_envelope(M)[1])
 
     # -- relative projectivity -------------------------------------------
 
@@ -155,13 +150,9 @@ class FrobeniusContext:
         return inj_dim(self.resolver, M, self.bound if bound is None else bound)
 
     def is_n_projective(self, M: Module) -> bool:
-        key = id(M)
-        hit = self._nproj.get(key)
-        if hit is None:
-            # pd M <= n is decided at depth n; deeper terms stay lazy
-            hit = (M, self.proj_dim(M, self.n) is not None)
-            self._nproj[key] = hit
-        return hit[1]
+        # pd M <= n is decided at depth n; deeper terms stay lazy
+        return self.memo("nproj", (M,),
+                          lambda: self.proj_dim(M, self.n) is not None)
 
     def projective_list(self):
         return projective_indecs(self.algebra)
@@ -170,12 +161,11 @@ class FrobeniusContext:
 
     def unit_down(self, N: Module, k: int) -> UnitConflation:
         """Truncated minimal projective resolution in U_k(N)."""
-        key = (id(N), k)
-        hit = self._unit_down.get(key)
-        if hit is not None:
-            return hit[1]
         if k < 1:
             raise ValueError("unit conflation needs k >= 1")
+        return self.memo("unit_down", (N,), lambda: self._unit_down(N, k), k)
+
+    def _unit_down(self, N: Module, k: int) -> UnitConflation:
         res = self.resolver.resolution(N)
         c = res.truncation(k)
         for i, mid in enumerate(c.middles):
@@ -187,9 +177,7 @@ class FrobeniusContext:
         # canonical cocycle: the cover P_k ->> syzygy is the comparison lift
         elt = ExtElement(self.resolver, N, res.syzygy(k), k, res.cover(k),
                          _skip_checks=True)
-        u = UnitConflation(c, elt, "down", N)
-        self._unit_down[key] = (N, u)
-        return u
+        return UnitConflation(c, elt, "down", N)
 
     def unit_up(self, N: Module, k: int) -> UnitConflation:
         """Truncated minimal injective coresolution in U^k(N).
@@ -197,12 +185,11 @@ class FrobeniusContext:
         The injective middle terms are certified relative-projective rather
         than assumed; failure indicates a non-Gorenstein context bug.
         """
-        key = (id(N), k)
-        hit = self._unit_up.get(key)
-        if hit is not None:
-            return hit[1]
         if k < 1:
             raise ValueError("unit conflation needs k >= 1")
+        return self.memo("unit_up", (N,), lambda: self._unit_up(N, k), k)
+
+    def _unit_up(self, N: Module, k: int) -> UnitConflation:
         cores = self.resolver.coresolution(N)
         c = cores.truncation(k)
         for mid in c.middles:
@@ -211,9 +198,7 @@ class FrobeniusContext:
                     f"injective middle term of dimension {mid.dim} is not "
                     f"relative projective; Gorenstein certification failed")
         elt = class_from_sequence(self.resolver, c)
-        u = UnitConflation(c, elt, "up", N)
-        self._unit_up[key] = (N, u)
-        return u
+        return UnitConflation(c, elt, "up", N)
 
     def unit_element(self, M: Module) -> ExtElement:
         """The canonical degree-n unit class on M (the identity when n = 0)."""
@@ -241,12 +226,7 @@ class FrobeniusContext:
         n steps (each step embeds through a minimal generating set of the
         maps into the regular module and checks exactness).
         """
-        key = id(M)
-        hit = self._gproj.get(key)
-        if hit is None:
-            hit = (M, self._gproj_compute(M))
-            self._gproj[key] = hit
-        return hit[1]
+        return self.memo("gproj", (M,), lambda: self._gproj_compute(M))
 
     def _gproj_compute(self, M: Module) -> bool:
         if M.dim == 0:
@@ -288,9 +268,7 @@ class FrobeniusContext:
         current = span
         r = rank(current)
         for t, h in enumerate(hb.maps):
-            e = Matrix.zeros(F, hb.dim, 1)
-            e.a[t, 0] = F.of(1)
-            ext = current.hstack(e)
+            ext = current.hstack(Matrix.unit(F, hb.dim, t))
             if rank(ext) > r:
                 chosen.append(h)
                 current = ext

@@ -74,32 +74,15 @@ class PModSpace:
 
     def basis_representatives(self):
         F = self.ctx.algebra.field
-        out = []
-        for j in range(self.dim):
-            e = Matrix.zeros(F, self.dim, 1)
-            e.a[j, 0] = F.of(1)
-            out.append(self.representative(e))
-        return out
+        return [self.representative(Matrix.unit(F, self.dim, j))
+                for j in range(self.dim)]
 
     def zero(self) -> Matrix:
         return Matrix.zeros(self.ctx.algebra.field, self.dim, 1)
 
 
 def p_subspace(ctx: FrobeniusContext, M: Module, N: Module) -> PModSpace:
-    key = ("pmod", id(M), id(N))
-    return _ctx_cache(ctx, key, lambda: PModSpace(ctx, M, N), keep=(M, N))
-
-
-def _ctx_cache(ctx, key, builder, keep=()):
-    store = getattr(ctx, "_phantom_cache", None)
-    if store is None:
-        store = {}
-        ctx._phantom_cache = store
-    hit = store.get(key)
-    if hit is None:
-        hit = (keep, builder())
-        store[key] = hit
-    return hit[1]
+    return ctx.memo("pmod", (M, N), lambda: PModSpace(ctx, M, N))
 
 
 def p_member(ctx: FrobeniusContext, gamma: ExtElement) -> bool:
@@ -121,7 +104,7 @@ def p_member_factoring(ctx: FrobeniusContext, gamma: ExtElement) -> bool:
     M, N = gamma.M, gamma.N
     if ctx.n == 0:
         cover = resolver.resolution(N).cover(0)
-        lifted = resolver.solve_post(M, cover.source, cover, gamma.cocycle)
+        lifted = resolver.solve_hom(M, cover.source, gamma.cocycle, post=cover)
         return lifted is not None
     e = ctx.envelope(M)
     space = resolver.ext(M, N, ctx.n)
@@ -203,7 +186,6 @@ def _ruf_unit(ctx: FrobeniusContext, X: Module, k: int, variant: str):
         return ctx.unit_up(X, k)
     if variant != "padded":
         raise ValueError(f"unknown RUF variant {variant!r}")
-    key = ("ruf_pad", id(X), k)
 
     def build():
         from .resolve import direct_sum_conflation
@@ -216,7 +198,7 @@ def _ruf_unit(ctx: FrobeniusContext, X: Module, k: int, variant: str):
         elt = class_from_sequence(ctx.resolver, c)
         return UnitConflation(c, elt, "up", X)
 
-    return _ctx_cache(ctx, key, build, keep=(X,))
+    return ctx.memo("ruf_pad", (X,), build, k)
 
 
 def _trivial_unit(ctx: FrobeniusContext, Q: Module, k: int) -> Conflation:
@@ -233,8 +215,6 @@ def _trivial_unit(ctx: FrobeniusContext, Q: Module, k: int) -> Conflation:
 
 def _pullback_matrix(ctx, delta: UnitConflation, M: Module):
     """Matrix of f |-> coords(delta . f) over the hom basis Hom(M, right end)."""
-    key = ("ruf_mat", id(delta), id(M))
-
     def build():
         E = delta.conflation.right
         X = delta.conflation.left
@@ -245,7 +225,7 @@ def _pullback_matrix(ctx, delta: UnitConflation, M: Module):
         mat = Matrix(F, np.hstack(cols)) if cols else Matrix.zeros(F, space.dim, 0)
         return mat, homs
 
-    return _ctx_cache(ctx, key, build, keep=(delta, M))
+    return ctx.memo("ruf_mat", (delta, M), build)
 
 
 def luf(ctx: FrobeniusContext, gamma: ExtElement):
@@ -257,8 +237,8 @@ def luf(ctx: FrobeniusContext, gamma: ExtElement):
     k = gamma.n
     delta = ctx.unit_down(M, k)
     res = ctx.resolver.resolution(M)
-    g = ctx.resolver.solve_pre(res.syzygy(k), gamma.N, res.cover(k),
-                               gamma.cocycle)
+    g = ctx.resolver.solve_hom(res.syzygy(k), gamma.N, gamma.cocycle,
+                               pre=res.cover(k))
     if g is None:
         raise CertificationError("left unit factorization failed")
     if not push_out(g, delta.element).same_class(gamma):
@@ -309,9 +289,8 @@ def coangled(ctx: FrobeniusContext, d1: UnitConflation, d2: UnitConflation,
         # the pair [delta . 1, delta . 1] glues a conflation with itself
         one = identity_map(c1.right)
         return CoangledPair(d1, one, one)
-    key = ("coangled", id(d1), id(d2))
-    return _ctx_cache(ctx, key, lambda: _coangled_build(ctx, d1, d2, certify),
-                      keep=(d1, d2))
+    return ctx.memo("coangled", (d1, d2),
+                     lambda: _coangled_build(ctx, d1, d2, certify))
 
 
 def _stage_data(c: Conflation):
@@ -369,14 +348,14 @@ def _coangled_build(ctx, d1, d2, certify):
         maps.append(j if t == 0 else j * qprev)
         if t < k - 1:
             L, q = cokernel_module(j)
-            b1 = _induced_on_cokernel(q, s1[t][1] * legs[0], j)
-            b2 = _induced_on_cokernel(q, s2[t][1] * legs[1], j)
+            b1 = _factor_right(s1[t][1] * legs[0], q)
+            b2 = _factor_right(s2[t][1] * legs[1], q)
             cur = L
             qprev = q
         else:
             L, q = cokernel_module(j)
-            a1 = _induced_on_cokernel(q, s1[t][1] * legs[0], j)
-            a2 = _induced_on_cokernel(q, s2[t][1] * legs[1], j)
+            a1 = _factor_right(s1[t][1] * legs[0], q)
+            a2 = _factor_right(s2[t][1] * legs[1], q)
             mods.append(L)
             maps.append(q)
     conf = Conflation(mods, maps)
@@ -396,14 +375,6 @@ def _coangled_build(ctx, d1, d2, certify):
     return CoangledPair(delta3, a1, a2)
 
 
-def _induced_on_cokernel(q: ModuleMap, rhs: ModuleMap, killed_by: ModuleMap) -> ModuleMap:
-    """The map L -> T with (L -> T) . q = rhs, for q a cokernel projection."""
-    X = solve(q.matrix.transpose(), rhs.matrix.transpose())
-    if X is None:
-        raise RuntimeError("cokernel does not receive the induced map")
-    return ModuleMap(q.target, rhs.target, X.transpose(), _skip_checks=True)
-
-
 def angled(ctx: FrobeniusContext, d1: UnitConflation, d2: UnitConflation,
            certify: bool = True) -> AngledPair:
     """Dual gluing for unit conflations ending at the same object, computed
@@ -414,9 +385,8 @@ def angled(ctx: FrobeniusContext, d1: UnitConflation, d2: UnitConflation,
     if d1 is d2:
         one = identity_map(c1.left)
         return AngledPair(d1, one, one)
-    key = ("angled", id(d1), id(d2))
-    return _ctx_cache(ctx, key, lambda: _angled_build(ctx, d1, d2, certify),
-                      keep=(d1, d2))
+    return ctx.memo("angled", (d1, d2),
+                     lambda: _angled_build(ctx, d1, d2, certify))
 
 
 def _angled_build(ctx, d1, d2, certify):
@@ -444,8 +414,6 @@ def _angled_build(ctx, d1, d2, certify):
 
 
 def _dual_unit(ctx, d: UnitConflation) -> UnitConflation:
-    key = ("dualunit", id(d))
-
     def build():
         op = ctx.opposite()
         conf = _dual_conflation_r(ctx.resolver, d.conflation)
@@ -453,7 +421,7 @@ def _dual_unit(ctx, d: UnitConflation) -> UnitConflation:
         return UnitConflation(conf, elt, "up" if d.direction == "down" else "down",
                               conf.left if d.direction == "down" else conf.right)
 
-    return _ctx_cache(ctx, key, build, keep=(d,))
+    return ctx.memo("dualunit", (d,), build)
 
 
 def _dual_conflation_r(resolver, c: Conflation) -> Conflation:
@@ -483,8 +451,6 @@ def divide_by_sigma(ctx: FrobeniusContext, b: ModuleMap, side: str,
     For side "left": b: V -> W, result in Ext^n(source_end, V)/P with
     push-out along b landing on ``coords``.
     """
-    key = ("divmat", id(b), side, id(target), id(source_end))
-
     def build():
         F = ctx.algebra.field
         if side == "right":
@@ -506,7 +472,7 @@ def divide_by_sigma(ctx: FrobeniusContext, b: ModuleMap, side: str,
                 "quasi-invertible does not act invertibly on Ext^n/P")
         return mat, src_space
 
-    mat, src_space = _ctx_cache(ctx, key, build, keep=(b, target, source_end))
+    mat, src_space = ctx.memo("divmat", (b, target, source_end), build, side)
     x = solve(mat, coords)
     if x is None:
         raise CertificationError(
@@ -588,24 +554,32 @@ class RingTable:
     def is_invertible(self, x: Matrix) -> bool:
         """Two-sided inverse through the regular representation."""
         F = self.ctx.algebra.field
-        d = self.dim
-        left = Matrix.zeros(F, d, d)
-        right = Matrix.zeros(F, d, d)
-        for j in range(d):
-            e = Matrix.zeros(F, d, 1)
-            e.a[j, 0] = F.of(1)
-            left.a[:, j] = self.multiply(x, e).a[:, 0]
-            right.a[:, j] = self.multiply(e, x).a[:, 0]
-        li = solve(left, self.one)
-        ri = solve(right, self.one)
-        return li is not None and ri is not None and li == ri
+        units = [Matrix.unit(F, self.dim, j) for j in range(self.dim)]
+        return _has_two_sided_inverse(
+            [(self.multiply(x, e), self.multiply(e, x)) for e in units],
+            self.one, self.one)
+
+
+def _has_two_sided_inverse(products, one_left: Matrix,
+                           one_right: Matrix) -> bool:
+    """Whether x has a two-sided inverse y = sum c_j y_j, given the
+    coordinates of (x . y_j, y_j . x) for each basis element y_j and those
+    of the two identities: both solves must give the same c."""
+    F = one_left.field
+    left = Matrix.zeros(F, one_left.rows, len(products))
+    right = Matrix.zeros(F, one_right.rows, len(products))
+    for j, (xy, yx) in enumerate(products):
+        left.a[:, j] = xy.a[:, 0]
+        right.a[:, j] = yx.a[:, 0]
+    li = solve(left, one_left)
+    ri = solve(right, one_right)
+    return li is not None and ri is not None and li == ri
 
 
 def ext_ring(ctx: FrobeniusContext, M: Module,
              ruf_variant: str = "canonical") -> RingTable:
-    key = ("ring", id(M), ruf_variant)
-    return _ctx_cache(ctx, key, lambda: RingTable(ctx, M, ruf_variant),
-                      keep=(M,))
+    return ctx.memo("ring", (M,), lambda: RingTable(ctx, M, ruf_variant),
+                     ruf_variant)
 
 
 def phi(ctx: FrobeniusContext, f: ModuleMap) -> Matrix:

@@ -8,11 +8,12 @@ inverse up to coboundary.  Pull-back, push-out and Baer sum exist in both
 representations, deliberately: the sequence-level constructions act as an
 independent oracle for the cocycle arithmetic.
 
-A :class:`Resolver` owns every cache (resolutions, coresolutions via the
-opposite algebra, hom bases, Ext spaces, chain lifts).  Cached data is
-immutable once computed, except that resolutions and chain lifts grow in
-place; inserts and in-place growth are serialized by one lock, shared with
-the opposite resolver, so concurrent readers are safe.
+Every cache in the package is a :class:`Memo`: one per :class:`Resolver`
+(resolutions, coresolutions via the opposite algebra, duals, hom bases,
+Ext spaces, chain lifts) and one per ``FrobeniusContext``.  All of them,
+and the in-place growth of resolutions and chain lifts, are serialized by
+one lock shared by a resolver, its opposite and their contexts; reads of
+cached data are lock-free, and each entry is built once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .algmod import (
 )
 
 __all__ = [
-    "ResolutionBoundError", "Resolution", "Coresolution", "Resolver",
+    "ResolutionBoundError", "Resolution", "Coresolution", "Memo", "Resolver",
     "ExtSpace", "ExtElement", "CosetMap",
     "min_proj_resolution", "min_inj_coresolution",
     "sequence_from_element", "class_from_sequence",
@@ -207,6 +208,31 @@ class Coresolution:
         return Conflation(mods, maps, _skip_checks=True)
 
 
+class Memo:
+    """A cache keyed by a kind tag, ``id()`` of some objects and plain
+    parameters.
+
+    Each entry is ``(value, *objects)``: it keeps the keyed objects alive,
+    so their ids stay valid, and falsy values are cached like any other.
+    A hit is a lock-free read; a miss is checked again and built under
+    ``lock``, so every thread gets the one object built for a key.
+    """
+
+    def __init__(self, lock):
+        self._lock = lock
+        self._store = {}
+
+    def __call__(self, kind: str, objects: tuple, build, *params):
+        key = (kind, *map(id, objects), *params)
+        hit = self._store.get(key)
+        if hit is None:
+            with self._lock:
+                hit = self._store.get(key)
+                if hit is None:
+                    hit = self._store[key] = (build(), *objects)
+        return hit[0]
+
+
 class Resolver:
     """Cache holder for one algebra: resolutions, homs, Ext spaces, lifts."""
 
@@ -214,25 +240,8 @@ class Resolver:
         self.algebra = algebra
         self.bound = bound
         self._lock = threading.RLock()
-        self._res = {}
-        self._cores = {}
-        self._duals = {}
-        self._homs = {}
-        self._exts = {}
-        self._lifts = {}
+        self._memo = Memo(self._lock)
         self._op = None
-
-    def _cached(self, store, key, builder):
-        # values hold the keyed modules, so id() keys stay valid
-        hit = store.get(key)
-        if hit is not None:
-            return hit
-        with self._lock:
-            hit = store.get(key)
-            if hit is None:
-                hit = builder()
-                store[key] = hit
-            return hit
 
     def opposite(self) -> "Resolver":
         if self._op is None:
@@ -242,6 +251,7 @@ class Resolver:
                     # one lock for both sides: a coresolution on one side resolves
                     # on the other, so two locks could be taken in either order
                     op._lock = self._lock
+                    op._memo = Memo(self._lock)
                     op._op = self
                     self._op = op
         return self._op
@@ -249,25 +259,20 @@ class Resolver:
     def dual(self, M: Module) -> Module:
         if M.algebra is not self.algebra:
             return self.opposite().dual(M)
-        key = id(M)
-        hit = self._duals.get(key)
-        if hit is not None:
-            return hit[1]
-        with self._lock:
-            hit = self._duals.get(key)
-            if hit is None:
-                D = dual_module(M)
-                self._duals[key] = (M, D)
-                # make the double dual come back as the original object
-                self.opposite()._duals[id(D)] = (D, M)
-                hit = self._duals[key]
-            return hit[1]
+
+        def build():
+            D = dual_module(M)
+            # make the double dual come back as the original object
+            self.opposite()._memo("dual", (D,), lambda: M)
+            return D
+
+        return self._memo("dual", (M,), build)
 
     def resolution(self, M: Module) -> Resolution:
-        return self._cached(self._res, id(M), lambda: Resolution(self, M))
+        return self._memo("resolution", (M,), lambda: Resolution(self, M))
 
     def coresolution(self, M: Module) -> Coresolution:
-        return self._cached(self._cores, id(M), lambda: Coresolution(self, M))
+        return self._memo("coresolution", (M,), lambda: Coresolution(self, M))
 
     def syzygy(self, M: Module, k: int) -> Module:
         return self.resolution(M).syzygy(k)
@@ -276,25 +281,17 @@ class Resolver:
         return self.coresolution(M).cosyzygy(k)
 
     def hom_basis(self, M: Module, N: Module):
-        return self._cached(self._homs, (id(M), id(N)),
-                            lambda: _HomBasis(M, N))
+        return self._memo("hom", (M, N), lambda: _HomBasis(M, N))
 
     def ext(self, M: Module, N: Module, n: int) -> "ExtSpace":
-        return self._cached(self._exts, (id(M), id(N), n),
-                            lambda: ExtSpace(self, M, N, n))
+        return self._memo("ext", (M, N), lambda: ExtSpace(self, M, N, n), n)
 
     def lift(self, f: ModuleMap, length: int):
         """Chain maps f_k: P_k(source) -> P_k(target) over f, k <= length."""
-        key = id(f)
-        entry = self._lifts.get(key)
-        if entry is not None and len(entry[1]) > length:
-            return entry[1]
+        chain = self._memo("lift", (f,), list)
+        if len(chain) > length:
+            return chain
         with self._lock:
-            entry = self._lifts.get(key)
-            if entry is None:
-                entry = (f, [])
-                self._lifts[key] = entry
-            chain = entry[1]
             src = self.resolution(f.source)
             dst = self.resolution(f.target)
             while len(chain) <= length:
@@ -305,7 +302,7 @@ class Resolver:
                 else:
                     rhs = chain[k - 1] * src.diff(k)
                     post = dst.diff(k)
-                fk = self.solve_post(src.term(k), dst.term(k), post, rhs)
+                fk = self.solve_hom(src.term(k), dst.term(k), rhs, post=post)
                 if fk is None:
                     raise RuntimeError("comparison lift failed on exact input")
                 chain.append(fk)
@@ -313,32 +310,19 @@ class Resolver:
 
     # -- linear solves in hom spaces ---------------------------------
 
-    def solve_post(self, U: Module, V: Module, post: ModuleMap, rhs: ModuleMap):
-        """phi in Hom(U, V) with post . phi = rhs, or None."""
+    def solve_hom(self, U: Module, V: Module, rhs: ModuleMap,
+                  post: ModuleMap | None = None, pre: ModuleMap | None = None):
+        """phi in Hom(U, V) with post . phi = rhs, or with phi . pre = rhs
+        when ``pre`` is given instead; None if there is none."""
         hb = self.hom_basis(U, V)
-        if U.dim == 0 or V.dim == 0:
+        if U.dim == 0 or V.dim == 0 or not hb.maps:
             return zero_map(U, V) if rhs.is_zero() else None
-        F = self.algebra.field
-        cols = [(post.matrix * h.matrix).flatten().a for h in hb.maps]
-        if not cols:
-            return zero_map(U, V) if rhs.is_zero() else None
-        sysm = Matrix(F, np.hstack(cols))
-        x = solve(sysm, rhs.matrix.flatten())
-        if x is None:
-            return None
-        return hb.combine(x)
-
-    def solve_pre(self, U: Module, V: Module, pre: ModuleMap, rhs: ModuleMap):
-        """phi in Hom(U, V) with phi . pre = rhs, or None."""
-        hb = self.hom_basis(U, V)
-        if U.dim == 0 or V.dim == 0:
-            return zero_map(U, V) if rhs.is_zero() else None
-        F = self.algebra.field
-        cols = [(h.matrix * pre.matrix).flatten().a for h in hb.maps]
-        if not cols:
-            return zero_map(U, V) if rhs.is_zero() else None
-        sysm = Matrix(F, np.hstack(cols))
-        x = solve(sysm, rhs.matrix.flatten())
+        if post is not None:
+            cols = [(post.matrix * h.matrix).flatten().a for h in hb.maps]
+        else:
+            cols = [(h.matrix * pre.matrix).flatten().a for h in hb.maps]
+        x = solve(Matrix(self.algebra.field, np.hstack(cols)),
+                  rhs.matrix.flatten())
         if x is None:
             return None
         return hb.combine(x)
@@ -443,12 +427,8 @@ class ExtSpace:
 
     def basis_elements(self):
         F = self.resolver.algebra.field
-        out = []
-        for j in range(self.dim):
-            e = Matrix.zeros(F, self.dim, 1)
-            e.a[j, 0] = F.of(1)
-            out.append(self.element_from_coords(e))
-        return out
+        return [self.element_from_coords(Matrix.unit(F, self.dim, j))
+                for j in range(self.dim)]
 
 
 def _hom_precompose_matrix(src: _HomBasis, dst: _HomBasis, d: ModuleMap) -> Matrix:
@@ -561,8 +541,8 @@ def sequence_from_element(gamma: ExtElement) -> Conflation:
     res = gamma.resolver.resolution(gamma.M)
     n = gamma.n
     # cocycle kills im d_{n+1}, so it factors through the cover P_n ->> K_n
-    g = gamma.resolver.solve_pre(res.syzygy(n), gamma.N, res.cover(n),
-                                 gamma.cocycle)
+    g = gamma.resolver.solve_hom(res.syzygy(n), gamma.N, gamma.cocycle,
+                                 pre=res.cover(n))
     if g is None:
         raise RuntimeError("cocycle does not factor through the syzygy")
     return pushout_sequence(g, res.truncation(n))
@@ -583,17 +563,15 @@ def class_from_sequence(resolver: Resolver, c: Conflation) -> ExtElement:
             target = c.modules[-2]
             post = c.maps[-1]
             rhs = res.augmentation()
-            fk = resolver.solve_post(Pk, target, post, rhs)
         elif k < t:
             target = c.modules[-2 - k]
             post = c.maps[-1 - k]
             rhs = prev * res.diff(k)
-            fk = resolver.solve_post(Pk, target, post, rhs)
         else:
             target = N
             post = c.maps[0]          # the inflation N -> X_{t-1}
             rhs = prev * res.diff(k)
-            fk = resolver.solve_post(Pk, target, post, rhs)
+        fk = resolver.solve_hom(Pk, target, rhs, post=post)
         if fk is None:
             raise RuntimeError("comparison lift failed on exact input")
         prev = fk
@@ -766,11 +744,11 @@ def _connect_by_lifting(resolver, c: Conflation, elt: ExtElement,
         n = elt.n
         phi = elt.cocycle if n >= 1 else elt.cocycle * res.augmentation()
         Pn = res.term(n) if n >= 1 else res.term(0)
-        lift = resolver.solve_post(Pn, B, defl, phi)
+        lift = resolver.solve_hom(Pn, B, phi, post=defl)
         if lift is None:
             raise RuntimeError("deflation lift failed")
         down = lift * res.diff(n + 1)
-        psi = resolver.solve_post(res.term(n + 1), A, infl, down)
+        psi = resolver.solve_hom(res.term(n + 1), A, down, post=infl)
         if psi is None:
             raise RuntimeError("snake factorization failed")
         return ExtElement(resolver, X, A, n + 1, psi, _skip_checks=True)
@@ -780,15 +758,15 @@ def _connect_by_lifting(resolver, c: Conflation, elt: ExtElement,
     n = elt.n
     resC = resolver.resolution(C)
     # chain f_0: P_0(C) -> B over identity of C, then P_1(C) -> A
-    f0 = resolver.solve_post(resC.term(0), B, defl, resC.augmentation())
+    f0 = resolver.solve_hom(resC.term(0), B, resC.augmentation(), post=defl)
     if f0 is None:
         raise RuntimeError("deflation lift failed")
-    h = resolver.solve_post(resC.term(1), A, infl, f0 * resC.diff(1))
+    h = resolver.solve_hom(resC.term(1), A, f0 * resC.diff(1), post=infl)
     if h is None:
         raise RuntimeError("snake factorization failed")
     # h: P_1(C) -> A kills im d_2, hence factors through the first syzygy of C;
     # pulling gamma back along the induced map realizes the connecting map.
-    g = resolver.solve_pre(resC.syzygy(1), A, resC.cover(1), h)
+    g = resolver.solve_hom(resC.syzygy(1), A, h, pre=resC.cover(1))
     if g is None:
         raise RuntimeError("syzygy factorization failed")
     if n == 0:
@@ -815,11 +793,10 @@ def _shift_syzygy_class(resolver: Resolver, C: Module, elt: ExtElement) -> ExtEl
         if k == 0:
             rhs = resC.cover(1)
             post = resS.augmentation()
-            uk = resolver.solve_post(resC.term(1), resS.term(0), post, rhs)
         else:
             rhs = prev * resC.diff(k + 1)
             post = resS.diff(k)
-            uk = resolver.solve_post(resC.term(k + 1), resS.term(k), post, rhs)
+        uk = resolver.solve_hom(resC.term(k + 1), resS.term(k), rhs, post=post)
         if uk is None:
             raise RuntimeError("shift lift failed")
         prev = uk

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exactlin import Matrix, rank, solve
+from .exactlin import Matrix, quotient_reps, rank, solve
 from .algmod import Module, ModuleMap, column_space_basis
 from .frobenius import CertificationError, FrobeniusContext, UnitConflation
 from .phantom import (
-    PModSpace, _ctx_cache, angled, compose_mod_p, divide_by_sigma, p_subspace,
+    PModSpace, _has_two_sided_inverse, angled, compose_mod_p, divide_by_sigma,
+    p_subspace,
 )
 from .resolve import ExtElement, connecting_map, pull_back, push_out
 
@@ -55,12 +56,8 @@ class StableHomSpace:
 
     def basis(self):
         F = self.ctx.algebra.field
-        out = []
-        for j in range(self.dim):
-            e = Matrix.zeros(F, self.dim, 1)
-            e.a[j, 0] = F.of(1)
-            out.append(self.morphism(e))
-        return out
+        return [self.morphism(Matrix.unit(F, self.dim, j))
+                for j in range(self.dim)]
 
     def __repr__(self):
         return f"StableHom({self.M.name or '?'} -> {self.N.name or '?'}, dim={self.dim})"
@@ -97,8 +94,7 @@ class StableMorphism:
 
 
 def stable_hom(ctx: FrobeniusContext, M: Module, N: Module) -> StableHomSpace:
-    key = ("stablehom", id(M), id(N))
-    return _ctx_cache(ctx, key, lambda: StableHomSpace(ctx, M, N), keep=(M, N))
+    return ctx.memo("stablehom", (M, N), lambda: StableHomSpace(ctx, M, N))
 
 
 def functor_T(ctx: FrobeniusContext, f: ModuleMap) -> StableMorphism:
@@ -149,17 +145,11 @@ def stable_is_iso(ctx: FrobeniusContext, m: StableMorphism) -> bool:
     endM = stable_hom(ctx, M, M)
     if back.dim == 0:
         return endN.dim == 0 and endM.dim == 0
-    F = ctx.algebra.field
-    left = Matrix.zeros(F, endN.dim, back.dim)
-    right = Matrix.zeros(F, endM.dim, back.dim)
-    for j, x in enumerate(back.basis()):
-        left.a[:, j] = stable_compose(ctx, m, x).coords.a[:, 0]
-        right.a[:, j] = stable_compose(ctx, x, m).coords.a[:, 0]
+    products = [(stable_compose(ctx, m, x).coords,
+                 stable_compose(ctx, x, m).coords) for x in back.basis()]
     idN = functor_T(ctx, _identity(N)).coords
     idM = functor_T(ctx, _identity(M)).coords
-    li = solve(left, idN)
-    ri = solve(right, idM)
-    return li is not None and ri is not None and li == ri
+    return _has_two_sided_inverse(products, idN, idM)
 
 
 def _identity(M: Module) -> ModuleMap:
@@ -227,51 +217,42 @@ class OmegaIso:
 
 
 def omega_iso(ctx: FrobeniusContext, M: Module, N: Module) -> OmegaIso:
-    key = ("omega", id(M), id(N))
-    return _ctx_cache(ctx, key, lambda: OmegaIso(ctx, M, N), keep=(M, N))
+    return ctx.memo("omega", (M, N), lambda: OmegaIso(ctx, M, N))
 
 
 # ----------------------------------------------------------------------
 # Classical stable homs and the embedding check
 # ----------------------------------------------------------------------
 
+def _classical_quotient(ctx: FrobeniusContext, M: Module, N: Module):
+    """Hom(M, N) and the projection onto its quotient by the maps factoring
+    through a projective, found by the direct factoring solve through the
+    projective cover of N (independent of the Ext route)."""
+    def build():
+        resolver = ctx.resolver
+        hb = resolver.hom_basis(M, N)
+        F = ctx.algebra.field
+        cols = []
+        if hb.dim:
+            cover = resolver.resolution(N).cover(0)
+            through = resolver.hom_basis(M, cover.source)
+            cols = [hb.coords(ModuleMap(M, N, cover.matrix * u.matrix,
+                                        _skip_checks=True)).a
+                    for u in through.maps]
+        span = Matrix(F, np.hstack(cols)) if cols else Matrix.zeros(F, hb.dim, 0)
+        return hb, quotient_reps(hb.dim, column_space_basis(span))[1]
+
+    return ctx.memo("classical", (M, N), build)
+
+
 def classical_stable_dim(ctx: FrobeniusContext, M: Module, N: Module) -> int:
-    """dim Hom(M, N) minus the maps factoring through a projective,
-    computed by the direct factoring solve (independent of the Ext route)."""
-    resolver = ctx.resolver
-    hb = resolver.hom_basis(M, N)
-    if hb.dim == 0:
-        return 0
-    cover = resolver.resolution(N).cover(0)
-    through = resolver.hom_basis(M, cover.source)
-    F = ctx.algebra.field
-    cols = [hb.coords(ModuleMap(M, N, cover.matrix * u.matrix,
-                                _skip_checks=True)).a
-            for u in through.maps]
-    if not cols:
-        return hb.dim
-    return hb.dim - rank(Matrix(F, np.hstack(cols)))
+    """dim Hom(M, N) minus the maps factoring through a projective."""
+    return _classical_quotient(ctx, M, N)[1].rows
 
 
 def classical_stable_class(ctx: FrobeniusContext, f: ModuleMap) -> Matrix:
     """Coordinates of f in Hom(M, N) modulo the projective-factoring span."""
-    resolver = ctx.resolver
-    M, N = f.source, f.target
-    hb = resolver.hom_basis(M, N)
-    cover = resolver.resolution(N).cover(0)
-    through = resolver.hom_basis(M, cover.source)
-    F = ctx.algebra.field
-    cols = [hb.coords(ModuleMap(M, N, cover.matrix * u.matrix,
-                                _skip_checks=True)).a
-            for u in through.maps]
-    span = Matrix(F, np.hstack(cols)) if cols else Matrix.zeros(F, hb.dim, 0)
-    from .exactlin import quotient_reps
-    key = ("classical", id(M), id(N))
-
-    def build():
-        return quotient_reps(hb.dim, column_space_basis(span))
-
-    reps, proj = _ctx_cache(ctx, key, build, keep=(M, N))
+    hb, proj = _classical_quotient(ctx, f.source, f.target)
     return proj * hb.coords(f)
 
 

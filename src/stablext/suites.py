@@ -245,7 +245,7 @@ def criterion_6(fx, rng, per_module=12):
         for M in inv:
             ring = ext_ring(ctx, M)
             d = ring.dim
-            basis = [_unit_coords(ctx, d, j) for j in range(d)]
+            basis = [Matrix.unit(ctx.algebra.field, d, j) for j in range(d)]
             for x in basis:
                 if ring.multiply(ring.one, x) != x or \
                         ring.multiply(x, ring.one) != x:
@@ -281,13 +281,6 @@ def criterion_6(fx, rng, per_module=12):
 def _identity(M):
     from .algmod import identity_map
     return identity_map(M)
-
-
-def _unit_coords(ctx, d, j):
-    F = ctx.algebra.field
-    m = Matrix.zeros(F, d, 1)
-    m.a[j, 0] = F.of(1)
-    return m
 
 
 def criterion_7(fx, rng, per_fixture=200):

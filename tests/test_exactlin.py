@@ -308,3 +308,13 @@ def test_quotient_projection_identity_prime(field, data):
     assert proj * reps == Matrix.identity(field, reps.cols)
     assert (proj * A).is_zero()
     assert reps.cols == A.rows - rank(A)
+
+
+@pytest.mark.parametrize("field", [F2, F65521, QQ])
+def test_unit_is_identity_column(field):
+    for n in (1, 4):
+        I = Matrix.identity(field, n)
+        for j in range(n):
+            e = Matrix.unit(field, n, j)
+            assert e == Matrix(field, I.a[:, [j]])
+            assert e.a.dtype == I.a.dtype

@@ -417,3 +417,42 @@ def test_concurrent_lifts_extend_once():
     res = R.resolution(f.source)
     for k, fk in enumerate(chain):
         assert fk.source is res.term(k) and fk.target is res.term(k)
+
+
+def test_memo_builds_once_and_caches_falsy_values():
+    import threading
+    from stablext.resolve import Memo
+    memo = Memo(threading.RLock())
+    a, b = object(), object()
+    built = []
+
+    def build(value):
+        def run():
+            built.append(value)
+            return value
+        return run
+
+    assert memo("flag", (a,), build(False)) is False
+    assert memo("flag", (a,), build(True)) is False
+    assert memo("flag", (a,), build(0), 2) == 0
+    assert memo("flag", (b,), build(None)) is None
+    assert memo("flag", (b,), build(1)) is None
+    assert memo("other", (a,), build(7)) == 7
+    assert built == [False, 0, None, 7]
+
+
+def test_solve_hom_both_sides(dn):
+    # post . phi = rhs and phi . pre = rhs, each against a known solution
+    A, R = dn
+    P = projective_indecs(A)[0]
+    rng = random.Random(3)
+    for _ in range(5):
+        phi = random_hom(rng, P, P)
+        g = random_hom(rng, P, P)
+        x = R.solve_hom(P, P, g * phi, post=g)
+        assert x is not None and g * x == g * phi
+        y = R.solve_hom(P, P, phi * g, pre=g)
+        assert y is not None and y * g == phi * g
+    S = simples(A)[0]
+    one = identity_map(S)
+    assert R.solve_hom(S, P, one, post=zero_map(P, S)) is None

@@ -375,3 +375,45 @@ def test_normalization_additive(t2_ctx):
             rhs = normalize(ctx, push_out(incl, x), anchor, S) + \
                 normalize(ctx, push_out(incl, y), anchor, S)
             assert lhs == rhs
+
+
+# -- threads sharing a context ----------------------------------------------
+
+@pytest.mark.parametrize("which", ["stable_hom", "p_subspace", "unit_up"])
+def test_concurrent_context_caches_build_once(which):
+    # a context-level cache must hand every thread the one object it built:
+    # stable morphisms only add within the identical hom-space object
+    import sys
+    import threading
+    A = t2_dual_numbers(GF(2))
+    ctx = FrobeniusContext(A)
+    S = simples(A)[0]
+    call = {"stable_hom": lambda: stable_hom(ctx, S, S),
+            "p_subspace": lambda: p_subspace(ctx, S, ctx.syz(S)),
+            "unit_up": lambda: ctx.unit_up(S, ctx.n)}[which]
+    got = []
+    errors = []
+
+    def work():
+        try:
+            got.append(call())
+        except Exception as e:  # noqa: BLE001
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(got) == 8
+    assert all(x is got[0] for x in got)
+    if which == "stable_hom":
+        for sp in got:
+            assert (got[0].zero() + sp.zero()).is_zero()

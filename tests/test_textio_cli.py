@@ -245,3 +245,24 @@ def test_cli_table_fixture_dump_round_trip(tmp_path):
     code2, out2 = run_cli("--load", str(f), "dump")
     assert code2 == 0
     assert out2 == out
+
+
+def test_cli_closed_stdout_exits_quietly():
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE
+    import os
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stablext.cli", "--fixture",
+             "t2-dual-numbers", "dump"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 1
