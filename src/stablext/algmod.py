@@ -194,16 +194,10 @@ class Algebra:
             J2 = Matrix.zeros(self.field, self.dim, 0)
             for c in J2_cols:
                 J2 = J2.hstack(c)
-            # keep the radical columns that extend a basis of J^2
-            current = J2
-            chosen = []
-            r = rank(current)
-            for x in cols:
-                ext = current.hstack(x)
-                if rank(ext) > r:
-                    chosen.append(x)
-                    current = ext
-                    r += 1
+            # keep the radical columns that extend a basis of J^2: with
+            # leftmost pivoting, the pivot columns of [J^2 | J] past J^2
+            _, pivots = rref(J2.hstack(J))
+            chosen = [cols[k - J2.cols] for k in pivots if k >= J2.cols]
             self._gens = list(self.idempotents) + chosen
         return self._gens
 
@@ -524,7 +518,7 @@ def _eliminated_path_basis(q: QuiverPresentation, rel_paths, length_bound):
             if p.dst != src:
                 continue
             w = (p.arrows + (ai,), p.src)
-            m[:, j] = (proj.a @ _unit_vec(F, len(paths), coord[w]))
+            m[:, j] = proj.a[:, coord[w]]
         if F.is_prime_field:
             m %= F.p
         arrow_mats.append(Matrix(F, m))
@@ -554,12 +548,6 @@ def _eliminated_path_basis(q: QuiverPresentation, rel_paths, length_bound):
             row.append(out.a[:, 0])
         table.append(row)
     return reps, table, dim
-
-
-def _unit_vec(F, n, i):
-    v = F.zeros(n, 1)[:, 0]
-    v[i] = F.of(1)
-    return v
 
 
 def algebra_from_table(field: Field, labels, products, unit, idempotents,

@@ -16,10 +16,10 @@ from itertools import product
 
 import numpy as np
 
-from .exactlin import Matrix, rank
+from .exactlin import Matrix, rref
 from .algmod import (
-    Algebra, Conflation, Module, ModuleMap, cokernel_module, column_space_basis,
-    injective_envelope, projective_indecs, simples,
+    Algebra, Conflation, Module, ModuleMap, cokernel_module, injective_envelope,
+    projective_indecs, simples,
 )
 from .resolve import ExtElement, Memo, Resolver, class_from_sequence
 
@@ -260,19 +260,13 @@ class FrobeniusContext:
             for h in hb.maps:
                 m = ModuleMap(X, reg, Rj * h.matrix, _skip_checks=True)
                 rad_cols.append(hb.coords(m).a)
-        if rad_cols:
-            span = column_space_basis(Matrix(F, np.hstack(rad_cols)))
-        else:
-            span = Matrix.zeros(F, hb.dim, 0)
-        chosen = []
-        current = span
-        r = rank(current)
-        for t, h in enumerate(hb.maps):
-            ext = current.hstack(Matrix.unit(F, hb.dim, t))
-            if rank(ext) > r:
-                chosen.append(h)
-                current = ext
-                r += 1
+        # keep each basis map outside the span of J.Hom(X, A) and the maps
+        # kept before it: with leftmost pivoting, the pivot columns of
+        # [J.Hom(X, A) | I] past J.Hom(X, A)
+        r = len(rad_cols)
+        I = Matrix.identity(F, hb.dim)
+        _, pivots = rref(Matrix(F, np.hstack(rad_cols + [I.a])))
+        chosen = [hb.maps[t - r] for t in pivots if t >= r]
         if not chosen:
             return None
         stacked = Matrix(F, np.vstack([h.matrix.a for h in chosen]))

@@ -394,11 +394,11 @@ def _angled_build(ctx, d1, d2, certify):
     D1 = _dual_unit(ctx, d1)
     D2 = _dual_unit(ctx, d2)
     pair = coangled(op, D1, D2, certify=certify)
-    conf = _dual_conflation_r(ctx.resolver, pair.delta.conflation)
+    conf = ctx.resolver.dual_conflation(pair.delta.conflation)
     elt = class_from_sequence(ctx.resolver, conf)
     delta3 = UnitConflation(conf, elt, "down", conf.right)
-    a1 = _dual_map_r(ctx.resolver, pair.a1)
-    a2 = _dual_map_r(ctx.resolver, pair.a2)
+    a1 = ctx.resolver.dual_map(pair.a1)
+    a2 = ctx.resolver.dual_map(pair.a2)
     if certify:
         for mid in conf.middles:
             if not ctx.is_n_projective(mid):
@@ -416,25 +416,12 @@ def _angled_build(ctx, d1, d2, certify):
 def _dual_unit(ctx, d: UnitConflation) -> UnitConflation:
     def build():
         op = ctx.opposite()
-        conf = _dual_conflation_r(ctx.resolver, d.conflation)
+        conf = ctx.resolver.dual_conflation(d.conflation)
         elt = class_from_sequence(op.resolver, conf)
         return UnitConflation(conf, elt, "up" if d.direction == "down" else "down",
                               conf.left if d.direction == "down" else conf.right)
 
     return ctx.memo("dualunit", (d,), build)
-
-
-def _dual_conflation_r(resolver, c: Conflation) -> Conflation:
-    mods = [resolver.dual(m) for m in reversed(c.modules)]
-    maps = []
-    for f, src, dst in zip(reversed(c.maps), mods, mods[1:]):
-        maps.append(ModuleMap(src, dst, f.matrix.transpose(), _skip_checks=True))
-    return Conflation(mods, maps, _skip_checks=True)
-
-
-def _dual_map_r(resolver, f: ModuleMap) -> ModuleMap:
-    return ModuleMap(resolver.dual(f.target), resolver.dual(f.source),
-                     f.matrix.transpose(), _skip_checks=True)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,10 @@ inverse up to coboundary.  Pull-back, push-out and Baer sum exist in both
 representations, deliberately: the sequence-level constructions act as an
 independent oracle for the cocycle arithmetic.
 
+Every chain map (the lift of a morphism to resolutions, the class of an
+explicit sequence, the connecting maps and the syzygy shift) is computed
+by one comparison-theorem step, :meth:`Resolver.comparison_lift`.
+
 Every cache in the package is a :class:`Memo`: one per :class:`Resolver`
 (resolutions, coresolutions via the opposite algebra, duals, hom bases,
 Ext spaces, chain lifts) and one per ``FrobeniusContext``.  All of them,
@@ -25,9 +29,9 @@ import numpy as np
 from .exactlin import Matrix, kernel_basis, quotient_reps, rank, solve
 from .algmod import (
     Algebra, Conflation, ConflationError, Module, ModuleMap,
-    column_space_basis, direct_sum, dual_map, dual_module,
-    hom_space, kernel_module, projective_cover, pushout,
-    pullback, splice, zero_map, zero_module,
+    column_space_basis, direct_sum, dual_module, hom_space, kernel_module,
+    mediating_map_pullback, projective_cover, pushout, pullback, splice,
+    zero_map, zero_module,
 )
 
 __all__ = [
@@ -132,6 +136,11 @@ class Resolution:
     def augmentation(self) -> ModuleMap:
         return self.cover(0)
 
+    def maps(self, length: int):
+        """The augmentation and d_1, ..., d_length: the maps a chain lift
+        into this resolution must commute with."""
+        return [self.augmentation()] + [self.diff(k) for k in range(1, length + 1)]
+
     def proj_dim(self, bound: int):
         """Least k with the k-th syzygy projective, or None beyond bound."""
         if self.module.dim == 0:
@@ -171,28 +180,19 @@ class Coresolution:
         return self.resolver.dual(self.op_res.syzygy(k))
 
     def coaugmentation(self) -> ModuleMap:
-        m = dual_map(self.op_res.augmentation())
-        return ModuleMap(self.resolver.dual(self.op_res.module),
-                         self.resolver.dual(self.op_res.term(0)),
-                         m.matrix, _skip_checks=True)
+        return self.resolver.dual_map(self.op_res.augmentation())
 
     def codiff(self, j: int) -> ModuleMap:
         """I^j -> I^{j+1}."""
-        m = self.op_res.diff(j)
-        return ModuleMap(self.term(j), self.term(j + 1),
-                         m.matrix.transpose(), _skip_checks=True)
+        return self.resolver.dual_map(self.op_res.diff(j))
 
     def defl(self, k: int) -> ModuleMap:
         """The deflation I^k -> cosyzygy_k."""
-        m = self.op_res.incl(k - 1)
-        return ModuleMap(self.term(k), self.cosyzygy(k),
-                         m.matrix.transpose(), _skip_checks=True)
+        return self.resolver.dual_map(self.op_res.incl(k - 1))
 
     def infl(self, k: int) -> ModuleMap:
         """The inflation cosyzygy_k -> I^{k+1}."""
-        m = self.op_res.cover(k)
-        return ModuleMap(self.cosyzygy(k), self.term(k + 1),
-                         m.matrix.transpose(), _skip_checks=True)
+        return self.resolver.dual_map(self.op_res.cover(k))
 
     def inj_dim(self, bound: int):
         return self.op_res.proj_dim(bound)
@@ -268,6 +268,18 @@ class Resolver:
 
         return self._memo("dual", (M,), build)
 
+    def dual_map(self, f: ModuleMap) -> ModuleMap:
+        """D(f): D(target) -> D(source) between the cached duals."""
+        return ModuleMap(self.dual(f.target), self.dual(f.source),
+                         f.matrix.transpose(), _skip_checks=True)
+
+    def dual_conflation(self, c: Conflation) -> Conflation:
+        """The dual conflation over the other side, on the cached duals."""
+        mods = [self.dual(m) for m in reversed(c.modules)]
+        maps = [ModuleMap(src, dst, f.matrix.transpose(), _skip_checks=True)
+                for f, src, dst in zip(reversed(c.maps), mods, mods[1:])]
+        return Conflation(mods, maps, _skip_checks=True)
+
     def resolution(self, M: Module) -> Resolution:
         return self._memo("resolution", (M,), lambda: Resolution(self, M))
 
@@ -293,19 +305,29 @@ class Resolver:
             return chain
         with self._lock:
             src = self.resolution(f.source)
-            dst = self.resolution(f.target)
-            while len(chain) <= length:
-                k = len(chain)
-                if k == 0:
-                    rhs = f * src.augmentation()
-                    post = dst.augmentation()
-                else:
-                    rhs = chain[k - 1] * src.diff(k)
-                    post = dst.diff(k)
-                fk = self.solve_hom(src.term(k), dst.term(k), rhs, post=post)
-                if fk is None:
-                    raise RuntimeError("comparison lift failed on exact input")
-                chain.append(fk)
+            posts = self.resolution(f.target).maps(length)
+            return self.comparison_lift(src, f * src.augmentation(), posts,
+                                        chain=chain)
+
+    def comparison_lift(self, res: Resolution, first: ModuleMap, posts,
+                        shift: int = 0, chain=None):
+        """The comparison theorem along ``res`` through an exact complex.
+
+        Returns the maps u_k: P_{k+shift} -> posts[k].source, k < len(posts),
+        with posts[0] . u_0 = first and posts[k] . u_k = u_{k-1} . d_{k+shift}.
+        ``chain`` holds u_0, u_1, ... computed earlier; it is extended in
+        place from its current length.
+        """
+        chain = [] if chain is None else chain
+        for k in range(len(chain), len(posts)):
+            rhs = first if k == 0 else chain[k - 1] * res.diff(k + shift)
+            uk = self.solve_hom(res.term(k + shift), posts[k].source, rhs,
+                                post=posts[k])
+            if uk is None:
+                raise RuntimeError(
+                    f"comparison lift failed in degree {k} (from P_{k + shift} "
+                    f"of {res.module.name or res.module})")
+            chain.append(uk)
         return chain
 
     # -- linear solves in hom spaces ---------------------------------
@@ -556,26 +578,8 @@ def class_from_sequence(resolver: Resolver, c: Conflation) -> ExtElement:
     N = c.left
     res = resolver.resolution(M)
     # chain lift f_k: P_k -> X_k  (X_0, ..., X_{t-1} the middles, X_t = N)
-    prev = None
-    for k in range(t + 1):
-        Pk = res.term(k)
-        if k == 0:
-            target = c.modules[-2]
-            post = c.maps[-1]
-            rhs = res.augmentation()
-        elif k < t:
-            target = c.modules[-2 - k]
-            post = c.maps[-1 - k]
-            rhs = prev * res.diff(k)
-        else:
-            target = N
-            post = c.maps[0]          # the inflation N -> X_{t-1}
-            rhs = prev * res.diff(k)
-        fk = resolver.solve_hom(Pk, target, rhs, post=post)
-        if fk is None:
-            raise RuntimeError("comparison lift failed on exact input")
-        prev = fk
-    return ExtElement(resolver, M, N, t, prev, _skip_checks=True)
+    chain = resolver.comparison_lift(res, res.augmentation(), c.maps[::-1])
+    return ExtElement(resolver, M, N, t, chain[-1], _skip_checks=True)
 
 
 # ----------------------------------------------------------------------
@@ -589,25 +593,14 @@ def pullback_sequence(c: Conflation, h: ModuleMap) -> Conflation:
     defl = c.maps[-1]
     W, pX, pA = pullback(defl, h)
     # X_1 maps into W through (d, 0)
-    if c.length == 1:
-        ext = _corestrict_into(W, pX, pA, c.maps[0], zero_map(c.left, h.source))
-        return Conflation([c.left, W, h.source], [ext, pA], _skip_checks=False)
     d1 = c.maps[-2]
-    ext = _corestrict_into(W, pX, pA, d1, zero_map(d1.source, h.source))
+    ext = mediating_map_pullback(W, pX, pA, defl, h, d1,
+                                 zero_map(d1.source, h.source))
+    if ext is None:
+        raise RuntimeError("pullback corestriction failed")
     mods = c.modules[:-2] + [W, h.source]
     maps = c.maps[:-2] + [ext, pA]
     return Conflation(mods, maps)
-
-
-def _corestrict_into(W, pX, pA, into_X: ModuleMap, into_A: ModuleMap) -> ModuleMap:
-    """The induced map into a pullback W <= X (+) A from a compatible pair."""
-    F = W.algebra.field
-    sysm = Matrix(F, np.vstack([pX.matrix.a, pA.matrix.a]))
-    rhs = Matrix(F, np.vstack([into_X.matrix.a, into_A.matrix.a]))
-    X = solve(sysm, rhs)
-    if X is None:
-        raise RuntimeError("pullback corestriction failed")
-    return ModuleMap(into_X.source, W, X, _skip_checks=True)
 
 
 def pushout_sequence(l: ModuleMap, c: Conflation) -> Conflation:
@@ -616,11 +609,7 @@ def pushout_sequence(l: ModuleMap, c: Conflation) -> Conflation:
         raise ConflationError("push-out end mismatch")
     infl = c.maps[0]
     W, iX, iB = pushout(infl, l)
-    if c.length == 1:
-        # induced deflation W -> A kills (infl b, -l b)
-        d = _factor_through_pushout(W, iX, iB, c.maps[1],
-                                    zero_map(l.target, c.right))
-        return Conflation([l.target, W, c.right], [iB, d])
+    # the induced map W -> X_{t-2} kills (infl b, -l b)
     d1 = c.maps[1]
     d = _factor_through_pushout(W, iX, iB, d1, zero_map(l.target, d1.target))
     mods = [l.target, W] + c.modules[2:]
@@ -736,34 +725,24 @@ def connecting_map(resolver: Resolver, c: Conflation, X: Module, n: int,
 
 def _connect_by_lifting(resolver, c: Conflation, elt: ExtElement,
                         covariant: bool) -> ExtElement:
-    A, B, C = c.left, c.modules[1], c.right
+    A, C = c.left, c.right
     infl, defl = c.maps
     if covariant:
         X = elt.M
         res = resolver.resolution(X)
         n = elt.n
         phi = elt.cocycle if n >= 1 else elt.cocycle * res.augmentation()
-        Pn = res.term(n) if n >= 1 else res.term(0)
-        lift = resolver.solve_hom(Pn, B, phi, post=defl)
-        if lift is None:
-            raise RuntimeError("deflation lift failed")
-        down = lift * res.diff(n + 1)
-        psi = resolver.solve_hom(res.term(n + 1), A, down, post=infl)
-        if psi is None:
-            raise RuntimeError("snake factorization failed")
+        # lift phi through the deflation, then factor its boundary
+        # through the inflation (the snake construction)
+        psi = resolver.comparison_lift(res, phi, [defl, infl], shift=n)[1]
         return ExtElement(resolver, X, A, n + 1, psi, _skip_checks=True)
     # contravariant: gamma in Ext^n(A, X) |-> class of the splice gamma . c,
     # computed by lifting the resolution of C through c once.
     X = elt.N
     n = elt.n
     resC = resolver.resolution(C)
-    # chain f_0: P_0(C) -> B over identity of C, then P_1(C) -> A
-    f0 = resolver.solve_hom(resC.term(0), B, resC.augmentation(), post=defl)
-    if f0 is None:
-        raise RuntimeError("deflation lift failed")
-    h = resolver.solve_hom(resC.term(1), A, f0 * resC.diff(1), post=infl)
-    if h is None:
-        raise RuntimeError("snake factorization failed")
+    # chain f_0: P_0(C) -> B over identity of C, then h: P_1(C) -> A
+    h = resolver.comparison_lift(resC, resC.augmentation(), [defl, infl])[1]
     # h: P_1(C) -> A kills im d_2, hence factors through the first syzygy of C;
     # pulling gamma back along the induced map realizes the connecting map.
     g = resolver.solve_hom(resC.syzygy(1), A, h, pre=resC.cover(1))
@@ -788,19 +767,8 @@ def _shift_syzygy_class(resolver: Resolver, C: Module, elt: ExtElement) -> ExtEl
     resC = resolver.resolution(C)
     resS = resolver.resolution(resC.syzygy(1))
     # chain u_k: P_{k+1}(C) -> P_k(syz C) over the cover P_1(C) ->> syz C
-    prev = None
-    for k in range(n + 1):
-        if k == 0:
-            rhs = resC.cover(1)
-            post = resS.augmentation()
-        else:
-            rhs = prev * resC.diff(k + 1)
-            post = resS.diff(k)
-        uk = resolver.solve_hom(resC.term(k + 1), resS.term(k), rhs, post=post)
-        if uk is None:
-            raise RuntimeError("shift lift failed")
-        prev = uk
-    return ExtElement(resolver, C, elt.N, n + 1, elt.cocycle * prev,
+    u = resolver.comparison_lift(resC, resC.cover(1), resS.maps(n), shift=1)
+    return ExtElement(resolver, C, elt.N, n + 1, elt.cocycle * u[-1],
                       _skip_checks=True)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exactlin import Matrix, quotient_reps, rank, solve
-from .algmod import Module, ModuleMap, column_space_basis
+from .algmod import Module, ModuleMap, column_space_basis, identity_map
 from .frobenius import CertificationError, FrobeniusContext, UnitConflation
 from .phantom import (
     PModSpace, _has_two_sided_inverse, angled, compose_mod_p, divide_by_sigma,
@@ -76,6 +76,8 @@ class StableMorphism:
         return StableMorphism(self.space, self.coords + other.coords)
 
     def __sub__(self, other: "StableMorphism") -> "StableMorphism":
+        if other.space is not self.space:
+            raise ValueError("morphisms live in different hom-spaces")
         return StableMorphism(self.space, self.coords - other.coords)
 
     def __eq__(self, other):
@@ -147,14 +149,9 @@ def stable_is_iso(ctx: FrobeniusContext, m: StableMorphism) -> bool:
         return endN.dim == 0 and endM.dim == 0
     products = [(stable_compose(ctx, m, x).coords,
                  stable_compose(ctx, x, m).coords) for x in back.basis()]
-    idN = functor_T(ctx, _identity(N)).coords
-    idM = functor_T(ctx, _identity(M)).coords
+    idN = functor_T(ctx, identity_map(N)).coords
+    idM = functor_T(ctx, identity_map(M)).coords
     return _has_two_sided_inverse(products, idN, idM)
-
-
-def _identity(M: Module) -> ModuleMap:
-    from .algmod import identity_map
-    return identity_map(M)
 
 
 def is_stably_zero(ctx: FrobeniusContext, M: Module) -> bool:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .exactlin import GF, QQ, Matrix, kernel_basis, rank
 from .algmod import (
-    ModuleMap, check_conflation, image_module, kernel_module, simples,
-    zero_map,
+    ModuleMap, check_conflation, identity_map, image_module, kernel_module,
+    simples, zero_map,
 )
 from .fixtures import (
     dual_numbers, hereditary_a2, indecomposable_inventory, trunc_poly,
@@ -91,11 +91,6 @@ def _rand_hom(ctx, rng, M, N) -> ModuleMap:
         if c:
             f = f + ModuleMap(M, N, h.matrix.scale(c), _skip_checks=True)
     return f
-
-
-def _elt0(ctx, f):
-    from .resolve import ExtElement
-    return ExtElement(ctx.resolver, f.source, f.target, 0, f, _skip_checks=True)
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +256,7 @@ def criterion_6(fx, rng, per_module=12):
                         if ring.multiply(y + z, x) != \
                                 ring.multiply(y, x) + ring.multiply(z, x):
                             return False, f"{name}: right distributivity fails"
-            if phi(ctx, _identity(M)) != ring.one:
+            if phi(ctx, identity_map(M)) != ring.one:
                 return False, f"{name}: phi not unital on {M.name}"
             for _ in range(per_module):
                 f = _rand_hom(ctx, rng, M, M)
@@ -276,11 +271,6 @@ def criterion_6(fx, rng, per_module=12):
                     return False, f"{name}: phi nonzero on a phantom on {M.name}"
             rings += 1
     return True, f"{rings} endomorphism rings: axioms exact, phi a unital ring map"
-
-
-def _identity(M):
-    from .algmod import identity_map
-    return identity_map(M)
 
 
 def criterion_7(fx, rng, per_fixture=200):

@@ -370,10 +370,6 @@ def load_workspace(path, length_bound: int = 12) -> Workspace:
 # Dumping
 # ----------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return str(x)
-
-
 def dump_workspace(ws: Workspace) -> str:
     A = ws.algebra
     F = A.field
@@ -383,19 +379,19 @@ def dump_workspace(ws: Workspace) -> str:
     out.append("algebra-table")
     out.append(f"dim {A.dim}")
     out.append("labels " + " ".join(A.labels))
-    out.append("unit " + " ".join(_fmt(A.unit[i, 0]) for i in range(A.dim)))
+    out.append("unit " + " ".join(str(A.unit[i, 0]) for i in range(A.dim)))
     for k, e in enumerate(A.idempotents, start=1):
-        out.append(f"e {k} " + " ".join(_fmt(e[i, 0]) for i in range(A.dim)))
+        out.append(f"e {k} " + " ".join(str(e[i, 0]) for i in range(A.dim)))
     zero = F.of(0)
     for i in range(A.dim):
         for j in range(A.dim):
             coords = A.table[i][j]
             if all(c == zero for c in coords):
                 continue
-            out.append(f"mult {i} {j} -> " + " ".join(_fmt(c) for c in coords))
+            out.append(f"mult {i} {j} -> " + " ".join(str(c) for c in coords))
     for k in range(A.radical_span.cols):
-        out.append("radical " + " ".join(_fmt(A.radical_span[i, k])
-                                         for i in range(A.dim)))
+        out.append("radical " + " ".join(str(A.radical_span[i, k])
+                                        for i in range(A.dim)))
     out.append("end")
     for name in sorted(ws.modules):
         M = ws.modules[name]
@@ -403,8 +399,8 @@ def dump_workspace(ws: Workspace) -> str:
         out.append(f"module {name}")
         out.append(f"dim {M.dim}")
         for b, label in enumerate(A.labels):
-            rows = " ; ".join(" ".join(_fmt(M.action[b][r, c])
-                                       for c in range(M.dim))
+            rows = " ; ".join(" ".join(str(M.action[b][r, c])
+                                      for c in range(M.dim))
                               for r in range(M.dim))
             out.append(f"act {label} {rows}".rstrip())
         out.append("end")
@@ -414,8 +410,8 @@ def dump_workspace(ws: Workspace) -> str:
         dst = next(k for k, v in ws.modules.items() if v is f.target)
         out.append("")
         out.append(f"map {name} {src} {dst}")
-        rows = " ; ".join(" ".join(_fmt(f.matrix[r, c])
-                                   for c in range(f.source.dim))
+        rows = " ; ".join(" ".join(str(f.matrix[r, c])
+                                  for c in range(f.source.dim))
                           for r in range(f.target.dim))
         out.append(f"rows {rows}".rstrip())
         out.append("end")

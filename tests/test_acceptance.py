@@ -9,6 +9,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the live report,
 or ``stablext suite`` for the command-line equivalent.
 """
 
+import pathlib
+
 import pytest
 
 from stablext.suites import CRITERIA, run_suite
@@ -30,3 +32,9 @@ def results():
 def test_criterion(results, number, name):
     res = results[number]
     assert res.passed, f"criterion {number} ({name}): {res.detail}"
+
+
+def test_criterion_lines_match_golden(results):
+    golden = pathlib.Path(__file__).with_name("golden") / "suite.txt"
+    lines = [results[n].line() for n, _, _ in CRITERIA]
+    assert lines == golden.read_text().splitlines()

@@ -1,12 +1,16 @@
+import itertools
+
+import numpy as np
 import pytest
 
-from stablext.exactlin import GF, QQ
+from stablext.exactlin import GF, QQ, Matrix, rank
 from stablext.algmod import (
-    indecomposable_summands, is_isomorphic, projective_indecs, simples,
+    ModuleMap, indecomposable_summands, is_isomorphic, projective_indecs,
+    simples,
 )
 from stablext.fixtures import (
-    dual_numbers, hereditary_a2, indecomposable_inventory, t2_dual_numbers,
-    trunc_poly,
+    cyclic_nakayama, dual_numbers, hereditary_a2, indecomposable_inventory,
+    t2_dual_numbers, trunc_poly,
 )
 from stablext.frobenius import (
     CertificationError, FrobeniusContext, gorenstein_one_search,
@@ -260,3 +264,69 @@ def test_gproj_projective_extension_instances(t2_ctx):
             for elt in [split] + elts:
                 M = elt.sequence().modules[1]
                 assert ctx.is_gproj(M)
+
+
+# -- extending a span by candidate columns ----------------------------------
+
+def _rank_loop_pick(span, candidates):
+    """Reference: one rank per candidate, keeping those that raise it."""
+    chosen, current, r = [], span, rank(span)
+    for j in range(candidates.cols):
+        ext = current.hstack(candidates.take_columns([j]))
+        if rank(ext) > r:
+            chosen.append(j)
+            current, r = ext, r + 1
+    return chosen
+
+
+def _basis_extension_algebras():
+    yield from (dual_numbers(), trunc_poly(), hereditary_a2(),
+                t2_dual_numbers(), t2_dual_numbers(QQ))
+    for v in (1, 2, 3):
+        for kills in itertools.product(range(2, 5), repeat=v):
+            if v < 3 or len(set(kills)) > 1:
+                yield cyclic_nakayama(GF(5), kills)
+
+
+def test_generators_match_rank_loop():
+    for A in _basis_extension_algebras():
+        J = A.radical_span
+        J2 = Matrix.zeros(A.field, A.dim, 0)
+        for k in range(J.cols):
+            J2 = J2.hstack(A.mult_by(J.take_columns([k]), "left") * J)
+        picked = [J.take_columns([k]) for k in _rank_loop_pick(J2, J)]
+        assert A.generators() == list(A.idempotents) + picked, A.name
+
+
+def _embed_reference(ctx, X):
+    A = ctx.algebra
+    F = A.field
+    reg = A.regular_module()
+    hb = ctx.resolver.hom_basis(X, reg)
+    if hb.dim == 0:
+        return None
+    J = A.radical_span
+    cols = [hb.coords(ModuleMap(X, reg, A.mult_by(J.take_columns([t]), "right")
+                                * h.matrix, _skip_checks=True)).a
+            for t in range(J.cols) for h in hb.maps]
+    span = Matrix(F, np.hstack(cols)) if cols else Matrix.zeros(F, hb.dim, 0)
+    picked = _rank_loop_pick(span, Matrix.identity(F, hb.dim))
+    if not picked:
+        return None
+    return Matrix(F, np.vstack([hb.maps[t].matrix.a for t in picked]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: t2_dual_numbers(GF(2)), lambda: t2_dual_numbers(QQ),
+    lambda: trunc_poly(), lambda: cyclic_nakayama(GF(5), (3, 3, 4)),
+])
+def test_embed_into_projective_matches_rank_loop(make):
+    ctx = FrobeniusContext(make())
+    A = ctx.algebra
+    mods = simples(A) + projective_indecs(A) + [
+        f(S, k) for S in simples(A) for k in (1, 2)
+        for f in (ctx.resolver.syzygy, ctx.resolver.cosyzygy)]
+    for X in mods:
+        u = ctx._embed_into_projective(X)
+        ref = _embed_reference(ctx, X)
+        assert (u is None and ref is None) or u.matrix == ref, X.name

@@ -441,6 +441,25 @@ def test_memo_builds_once_and_caches_falsy_values():
     assert built == [False, 0, None, 7]
 
 
+@pytest.mark.parametrize("failing_call,degree", [(1, 0), (2, 1)])
+def test_comparison_lift_error_names_degree_and_module(monkeypatch,
+                                                       failing_call, degree):
+    A = dual_numbers(F2)
+    R = Resolver(A)
+    S = simples(A)[0]
+    solve = R.solve_hom
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(args)
+        return None if len(calls) == failing_call else solve(*args, **kwargs)
+
+    monkeypatch.setattr(R, "solve_hom", fail_once)
+    with pytest.raises(RuntimeError,
+                       match=rf"degree {degree} \(from P_{degree} of S1\)"):
+        R.lift(identity_map(S), 2)
+
+
 def test_solve_hom_both_sides(dn):
     # post . phi = rhs and phi . pre = rhs, each against a known solution
     A, R = dn

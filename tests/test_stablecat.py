@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -63,6 +64,15 @@ def test_hereditary_all_stable_homs_zero(a2_ctx):
     for M in inv:
         for N in inv:
             assert stable_hom(a2_ctx, M, N).dim == 0
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_arithmetic_needs_one_hom_space(t2_ctx, op):
+    S1, S2 = simples(t2_ctx.algebra)
+    a = stable_hom(t2_ctx, S1, S1).basis()[0]
+    b = stable_hom(t2_ctx, S2, S2).basis()[0]
+    with pytest.raises(ValueError, match="different hom-spaces"):
+        op(a, b)
 
 
 # -- the functor ------------------------------------------------------------
