@@ -20,7 +20,8 @@ from itertools import product
 
 import numpy as np
 
-from .exactlin import Field, Matrix, kernel_basis, quotient_reps, rank, rref, solve
+from .exactlin import (Field, Matrix, combine, kernel_basis, quotient_reps, rank,
+                       rref, solve)
 
 __all__ = [
     "AlgebraError", "ModuleError", "ConflationError",
@@ -136,6 +137,7 @@ class Algebra:
         self._semisimple_coeffs = None
         self._regular = None
         self._projs = None
+        self._proj_incls = None
         if not _skip_checks:
             self._validate()
 
@@ -167,12 +169,7 @@ class Algebra:
     def mult_by(self, coords: Matrix, side="left") -> Matrix:
         """Multiplication by the element with the given coordinate column."""
         mats = self.left_mult() if side == "left" else self.right_mult()
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for i in range(self.dim):
-            c = coords[i, 0]
-            if c != self.field.of(0):
-                out = out + mats[i].scale(c)
-        return out
+        return combine(coords, mats, self.dim, self.dim)
 
     @property
     def n_idempotents(self):
@@ -187,13 +184,8 @@ class Algebra:
         if self._gens is None:
             J = self.radical_span
             cols = [Matrix(self.field, J.a[:, [k]]) for k in range(J.cols)]
-            J2_cols = []
-            for x in cols:
-                Lx = self.mult_by(x, "left")
-                J2_cols.append(Lx * J)
-            J2 = Matrix.zeros(self.field, self.dim, 0)
-            for c in J2_cols:
-                J2 = J2.hstack(c)
+            J2 = Matrix.from_columns(self.field, self.dim,
+                                     [(self.mult_by(x, "left") * J).a for x in cols])
             # keep the radical columns that extend a basis of J^2: with
             # leftmost pivoting, the pivot columns of [J^2 | J] past J^2
             _, pivots = rref(J2.hstack(J))
@@ -219,11 +211,9 @@ class Algebra:
         """Row i gives the coefficient of idempotent e_i in each basis
         element modulo the radical (the change of basis through e's + J)."""
         if self._semisimple_coeffs is None:
-            B = Matrix.zeros(self.field, self.dim, 0)
-            for e in self.idempotents:
-                B = B.hstack(e)
             Jb = column_space_basis(self.radical_span)
-            B = B.hstack(Jb)
+            B = Matrix.from_columns(self.field, self.dim,
+                                    [e.a for e in self.idempotents] + [Jb.a])
             X = solve(B, Matrix.identity(self.field, self.dim))
             if X is None or B.cols != self.dim:
                 raise AlgebraError("idempotents + radical do not form a basis")
@@ -241,7 +231,6 @@ class Algebra:
 
     def _validate(self):
         F, d = self.field, self.dim
-        zero = F.of(0)
         for i in range(d):
             if len(self.table[i]) != d:
                 raise AlgebraError("multiplication table is not square")
@@ -252,11 +241,7 @@ class Algebra:
         # associativity: L is a homomorphism, L_i L_j = sum_k c^k_{ij} L_k
         for i in range(d):
             for j in range(d):
-                rhs = Matrix.zeros(F, d, d)
-                for k in range(d):
-                    c = self.table[i][j][k]
-                    if c != zero:
-                        rhs = rhs + L[k].scale(c)
+                rhs = self.mult_by(Matrix(F, self.table[i][j].reshape(d, 1)))
                 if L[i] * L[j] != rhs:
                     raise AlgebraError(f"associativity fails at product ({i},{j})")
         u = Matrix(F, np.array(self.unit).reshape(d, 1)) if not isinstance(self.unit, Matrix) \
@@ -288,11 +273,9 @@ class Algebra:
         for _ in range(d + 1):
             if power.cols == 0:
                 break
-            nxt = Matrix.zeros(F, d, 0)
-            for k in range(J.cols):
-                jk = Matrix(F, J.a[:, [k]])
-                nxt = nxt.hstack(self.mult_by(jk, "left") * power)
-            nxt = column_space_basis(nxt)
+            nxt = column_space_basis(Matrix.from_columns(F, d, [
+                (self.mult_by(Matrix(F, J.a[:, [k]]), "left") * power).a
+                for k in range(J.cols)]))
             if nxt.cols >= power.cols:
                 raise AlgebraError("radical span is not nilpotent")
             power = nxt
@@ -476,11 +459,8 @@ def _eliminated_path_basis(q: QuiverPresentation, rel_paths, length_bound):
                     if F.is_prime_field:
                         vec %= F.p
                     gens.append(vec)
-        if gens:
-            span = Matrix(F, np.stack(gens, axis=1))
-        else:
-            span = Matrix.zeros(F, len(paths), 0)
-        return paths, span
+        return paths, Matrix.from_columns(F, len(paths),
+                                          [g.reshape(-1, 1) for g in gens])
 
     prev_dim = None
     stable_at = None
@@ -568,9 +548,8 @@ def algebra_from_table(field: Field, labels, products, unit, idempotents,
                                    f"expected {dim}")
             row.append(field.array([[field.of(c) for c in coords]]).reshape(dim))
         table.append(row)
-    rad = Matrix.zeros(field, dim, 0)
-    for coords in radical:
-        rad = rad.hstack(Matrix.column(field, [field.of(c) for c in coords]))
+    rad = Matrix.from_columns(field, dim, [
+        Matrix.column(field, coords).a for coords in radical])
     return Algebra(field, labels, table,
                    [field.of(c) for c in unit],
                    [[field.of(c) for c in e] for e in idempotents],
@@ -602,14 +581,9 @@ class Module:
                 raise ModuleError(f"{self.name}: action matrix has wrong shape")
             if m.field != F:
                 raise ModuleError(f"{self.name}: action matrix over wrong field")
-        zero = F.of(0)
         for i in range(A.dim):
             for j in range(A.dim):
-                rhs = Matrix.zeros(F, self.dim, self.dim)
-                for k in range(A.dim):
-                    c = A.table[i][j][k]
-                    if c != zero:
-                        rhs = rhs + self.action[k].scale(c)
+                rhs = self.act(Matrix(F, A.table[i][j].reshape(A.dim, 1)))
                 if self.action[i] * self.action[j] != rhs:
                     raise ModuleError(
                         f"{self.name}: action violates structure constants at ({i},{j})")
@@ -618,13 +592,7 @@ class Module:
 
     def act(self, coords: Matrix) -> Matrix:
         """Action of the algebra element with the given coordinate column."""
-        F = self.algebra.field
-        out = Matrix.zeros(F, self.dim, self.dim)
-        for i in range(self.algebra.dim):
-            c = coords[i, 0]
-            if c != F.of(0):
-                out = out + self.action[i].scale(c)
-        return out
+        return combine(coords, self.action, self.dim, self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, Module):
@@ -673,11 +641,19 @@ class ModuleMap:
         return ModuleMap(other.source, self.target, self.matrix * other.matrix,
                          _skip_checks=True)
 
+    def _parallel(self, other: "ModuleMap"):
+        # equal ends may be distinct objects (co-angled gluing adds such maps)
+        if (other.source is not self.source and other.source != self.source
+                or other.target is not self.target and other.target != self.target):
+            raise ModuleError(f"maps {self} and {other} are not parallel")
+
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
+        self._parallel(other)
         return ModuleMap(self.source, self.target, self.matrix + other.matrix,
                          _skip_checks=True)
 
     def __sub__(self, other: "ModuleMap") -> "ModuleMap":
+        self._parallel(other)
         return ModuleMap(self.source, self.target, self.matrix - other.matrix,
                          _skip_checks=True)
 
@@ -757,29 +733,28 @@ def hom_dim(M: Module, N: Module) -> int:
     return len(hom_space(M, N))
 
 
-def random_hom(rng, M: Module, N: Module, basis=None) -> ModuleMap:
+def random_hom(rng, M: Module, N: Module) -> ModuleMap:
     """A random morphism: random field coefficients against the hom basis."""
     F = M.algebra.field
-    if basis is None:
-        basis = hom_space(M, N)
-    f = zero_map(M, N)
-    for h in basis:
-        if F.is_prime_field:
-            c = rng.randrange(F.p)
-        else:
-            c = rng.randint(-3, 3)
-        if c:
-            f = f + ModuleMap(M, N, h.matrix.scale(c), _skip_checks=True)
-    return f
+    basis = hom_space(M, N)
+    coeffs = [rng.randrange(F.p) if F.is_prime_field else rng.randint(-3, 3)
+              for _ in basis]
+    return ModuleMap(M, N, combine(Matrix.column(F, coeffs),
+                                   [h.matrix for h in basis], N.dim, M.dim),
+                     _skip_checks=True)
 
 
-def indecomposable_summands(M: Module, _cap: int = 4096):
+# the most coefficient vectors of a hom basis that are ever enumerated
+_ENUM_CAP = 4096
+
+
+def indecomposable_summands(M: Module):
     """Split M into indecomposables by finding idempotent endomorphisms.
 
     Over a small prime field the endomorphism coefficients are enumerated
-    exhaustively (up to ``_cap`` candidates), so indecomposability of the
-    returned summands is certified; if the space is too large to enumerate,
-    an error is raised rather than returning an uncertified answer.
+    exhaustively (up to ``_ENUM_CAP`` candidates), so indecomposability of
+    the returned summands is certified; if the space is too large to
+    enumerate, an error is raised rather than returning an uncertified answer.
     """
     if M.dim == 0:
         return []
@@ -788,25 +763,23 @@ def indecomposable_summands(M: Module, _cap: int = 4096):
     h = len(ends)
     if h == 1:
         return [M]
-    if not F.is_prime_field or F.p ** h > _cap:
+    if not F.is_prime_field or F.p ** h > _ENUM_CAP:
         raise ModuleError(
             f"cannot certify a decomposition of {M.name or M}: endomorphism "
             f"space too large to enumerate")
     I = Matrix.identity(F, M.dim)
+    mats = [b.matrix for b in ends]
     for coeffs in product(range(F.p), repeat=h):
-        E = Matrix.zeros(F, M.dim, M.dim)
-        for c, b in zip(coeffs, ends):
-            if c:
-                E = E + b.matrix.scale(c)
+        E = combine(Matrix.column(F, coeffs), mats, M.dim, M.dim)
         if E * E != E or E.is_zero() or E == I:
             continue
         img, _ = submodule(M, column_space_basis(E), name=f"{M.name}|im")
         ker, _ = submodule(M, kernel_basis(E), name=f"{M.name}|ker")
-        return indecomposable_summands(img, _cap) + indecomposable_summands(ker, _cap)
+        return indecomposable_summands(img) + indecomposable_summands(ker)
     return [M]
 
 
-def is_isomorphic(M: Module, N: Module, trials: int = 200) -> bool:
+def is_isomorphic(M: Module, N: Module) -> bool:
     """Isomorphism test: random combinations of the hom basis, certified by rank.
 
     Over a small prime field the coefficient space is enumerated exhaustively
@@ -821,19 +794,16 @@ def is_isomorphic(M: Module, N: Module, trials: int = 200) -> bool:
         return False
     F = M.algebra.field
     h = len(basis)
+    mats = [b.matrix for b in basis]
 
     def check(coeffs):
-        mat = Matrix.zeros(F, N.dim, M.dim)
-        for c, b in zip(coeffs, basis):
-            if c:
-                mat = mat + b.matrix.scale(c)
-        return rank(mat) == M.dim
+        return rank(combine(Matrix.column(F, coeffs), mats, N.dim, M.dim)) == M.dim
 
-    if F.is_prime_field and F.p ** h <= 4096:
+    if F.is_prime_field and F.p ** h <= _ENUM_CAP:
         return any(check(c) for c in product(range(F.p), repeat=h))
     import random as _random
     rng = _random.Random(0)
-    for _ in range(trials):
+    for _ in range(200):
         if F.is_prime_field:
             coeffs = [rng.randrange(F.p) for _ in range(h)]
         else:
@@ -931,17 +901,19 @@ def simples(A: Algebra):
 def projective_indecs(A: Algebra):
     """P_i = A e_i inside the regular module.
 
-    The modules are built once per algebra; each call returns a new list
+    The modules are built once per algebra, and their inclusion matrices
+    into A are kept for ``projective_cover``; each call returns a new list
     of the same objects.
     """
     if A._projs is None:
         reg = A.regular_module()
-        projs = []
+        projs, incls = [], []
         for i, e in enumerate(A.idempotents):
             Re = A.mult_by(e, "right")   # a |-> a e_i, a left-module map
-            P, _, _ = image_module(ModuleMap(reg, reg, Re), name=f"P{i + 1}")
+            P, incl, _ = image_module(ModuleMap(reg, reg, Re), name=f"P{i + 1}")
             projs.append(P)
-        A._projs = projs
+            incls.append(incl.matrix)
+        A._projs, A._proj_incls = projs, incls
     return list(A._projs)
 
 
@@ -958,7 +930,7 @@ def _radical_span(M: Module) -> Matrix:
     its column_space_basis unchanged and shrinks every elimination on it.
     """
     F = M.algebra.field
-    cols = np.hstack([F.zeros(M.dim, 0), *_radical_actions(M)])
+    cols = Matrix.from_columns(F, M.dim, _radical_actions(M)).a
     return Matrix(F, cols[:, np.any(cols != F.of(0), axis=0)])
 
 
@@ -1005,7 +977,7 @@ def projective_cover(M: Module):
         W = M.act(e) * V
         # P_i lives inside A: its basis vectors are algebra elements; basis
         # vector k of the copy of P_i for generator t maps to p_k * W[:, t]
-        incl = _projective_inclusion(A, i)
+        incl = A._proj_incls[i]
         images = np.stack([(M.act(Matrix(F, incl.a[:, [k]])) * W).a
                            for k in range(incl.cols)], axis=2)
         summands.extend([projs[i]] * Vi.cols)
@@ -1023,11 +995,6 @@ def projective_cover(M: Module):
     if rank(radspan.hstack(ker)) != rank(radspan):
         raise ModuleError(f"{where}: not minimal, kernel not in rad P")
     return P, f
-
-
-def _projective_inclusion(A: Algebra, i: int) -> Matrix:
-    Re = A.mult_by(A.idempotents[i], "right")
-    return column_space_basis(Re)
 
 
 def injective_envelope(M: Module):
@@ -1096,18 +1063,18 @@ def pushout(f: ModuleMap, g: ModuleMap):
     return W, proj * injs[0], proj * injs[1]
 
 
-def mediating_map_pullback(W, pX, pY, f, g, cX: ModuleMap, cY: ModuleMap):
-    """The unique map into the pullback through a competing cone, by solve."""
-    F = W.algebra.field
-    T = cX.source
+def mediating_map_pullback(pX: ModuleMap, pY: ModuleMap, cX: ModuleMap,
+                           cY: ModuleMap):
+    """The unique map into the pullback W = pX.source through a competing
+    cone (cX, cY), by solve; None if the cone does not factor."""
+    F = pX.matrix.field
     sys = Matrix(F, np.vstack([pX.matrix.a, pY.matrix.a]))
-    # mediating m: T -> W with pX m = cX and pY m = cY, solved columnwise
+    # mediating m: cX.source -> W with pX m = cX and pY m = cY, solved columnwise
     rhs = Matrix(F, np.vstack([cX.matrix.a, cY.matrix.a]))
     X = solve(sys, rhs)
     if X is None:
         return None
-    m = ModuleMap(T, W, X)
-    return m
+    return ModuleMap(cX.source, pX.source, X)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Deterministic exact linear algebra over Q and F_p.
 
 Everything downstream (hom spaces, Ext groups, coset spaces) reduces to the
-four primitives here: ``rref``, ``kernel_basis``, ``solve`` and
-``quotient_reps``.  All arithmetic is exact: rationals are
+five primitives here: ``rref``, ``kernel_basis``, ``solve``,
+``quotient_reps`` and ``combine``, the one way to form a linear combination
+of matrices; ``Matrix.from_columns`` is the one way to set coordinate
+columns side by side.  All arithmetic is exact: rationals are
 ``fractions.Fraction`` held in numpy object arrays, prime fields are int64
 residues.  Large F_p products run on float64 BLAS, but only when every
 partial sum is an integer below 2^53, so each is computed exactly and the
@@ -19,7 +21,7 @@ import numpy as np
 
 __all__ = [
     "Field", "QQ", "GF", "FieldMismatch", "Matrix",
-    "rref", "rank", "kernel_basis", "solve", "quotient_reps",
+    "rref", "rank", "kernel_basis", "solve", "quotient_reps", "combine",
 ]
 
 
@@ -147,6 +149,12 @@ class Matrix:
     @classmethod
     def column(cls, field: Field, entries) -> "Matrix":
         return cls.from_rows(field, [[x] for x in entries])
+
+    @classmethod
+    def from_columns(cls, field: Field, rows: int, blocks) -> "Matrix":
+        """The arrays ``blocks`` (each with ``rows`` rows) side by side;
+        rows x 0 when there are none."""
+        return cls(field, np.hstack([field.zeros(rows, 0), *blocks]))
 
     # -- shape ----------------------------------------------------------
 
@@ -282,6 +290,23 @@ class Matrix:
 
     def unflatten(self, rows: int, cols: int) -> "Matrix":
         return Matrix(self.field, self.a.reshape(rows, cols).copy())
+
+
+def combine(coeffs: Matrix, mats, rows: int, cols: int) -> Matrix:
+    """sum_k coeffs[k] * mats[k] for a coefficient column and rows x cols
+    matrices: one product of the nonzero coefficients with their stacked,
+    flattened matrices, so it takes the exact paths of ``Matrix.__mul__``."""
+    F = coeffs.field
+    c = coeffs.a.reshape(-1)
+    if c.size != len(mats):
+        raise ValueError(f"combine: {c.size} coefficients for {len(mats)} matrices")
+    nz = np.nonzero(c != F.of(0))[0]
+    if nz.size == 0:
+        return Matrix.zeros(F, rows, cols)
+    if nz.size == 1:
+        return mats[nz[0]].scale(c[nz[0]])
+    stacked = Matrix(F, np.stack([mats[k].a.reshape(-1) for k in nz]))
+    return Matrix(F, (Matrix(F, c[nz].reshape(1, -1)) * stacked).a.reshape(rows, cols))
 
 
 # ----------------------------------------------------------------------

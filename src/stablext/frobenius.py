@@ -265,7 +265,7 @@ class FrobeniusContext:
         # [J.Hom(X, A) | I] past J.Hom(X, A)
         r = len(rad_cols)
         I = Matrix.identity(F, hb.dim)
-        _, pivots = rref(Matrix(F, np.hstack(rad_cols + [I.a])))
+        _, pivots = rref(Matrix.from_columns(F, hb.dim, rad_cols + [I.a]))
         chosen = [hb.maps[t - r] for t in pivots if t >= r]
         if not chosen:
             return None

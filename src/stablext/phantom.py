@@ -13,9 +13,7 @@ one, division by the quasi-invertible leg, and a final pull-back.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .exactlin import Matrix, kernel_basis, quotient_reps, rank, solve
+from .exactlin import Matrix, combine, kernel_basis, quotient_reps, rank, solve
 from .algmod import (
     Conflation, Module, ModuleMap, cokernel_module, column_space_basis,
     direct_sum, identity_map, zero_module, zero_map,
@@ -111,8 +109,7 @@ def p_member_factoring(ctx: FrobeniusContext, gamma: ExtElement) -> bool:
     eta_space = resolver.ext(e.target, N, ctx.n)
     cols = [space.coords(pull_back(eta, e)).a
             for eta in eta_space.basis_elements()]
-    F = ctx.algebra.field
-    span = Matrix(F, np.hstack(cols)) if cols else Matrix.zeros(F, space.dim, 0)
+    span = Matrix.from_columns(ctx.algebra.field, space.dim, cols)
     target = space.coords(gamma)
     return rank(span) == rank(span.hstack(target))
 
@@ -220,10 +217,8 @@ def _pullback_matrix(ctx, delta: UnitConflation, M: Module):
         X = delta.conflation.left
         homs = ctx.resolver.hom_basis(M, E)
         space = ctx.resolver.ext(M, X, delta.conflation.length)
-        F = ctx.algebra.field
         cols = [space.coords(pull_back(delta.element, h)).a for h in homs.maps]
-        mat = Matrix(F, np.hstack(cols)) if cols else Matrix.zeros(F, space.dim, 0)
-        return mat, homs
+        return Matrix.from_columns(ctx.algebra.field, space.dim, cols), homs
 
     return ctx.memo("ruf_mat", (delta, M), build)
 
@@ -452,8 +447,7 @@ def divide_by_sigma(ctx: FrobeniusContext, b: ModuleMap, side: str,
                     for g in src_space.basis_representatives()]
         else:
             raise ValueError("side must be 'left' or 'right'")
-        mat = Matrix(F, np.hstack(cols)) if cols else \
-            Matrix.zeros(F, dst_space.dim, 0)
+        mat = Matrix.from_columns(F, dst_space.dim, cols)
         if kernel_basis(mat).cols != 0:
             raise CertificationError(
                 "quasi-invertible does not act invertibly on Ext^n/P")
@@ -525,18 +519,8 @@ class RingTable:
         return self.space.dim
 
     def multiply(self, x: Matrix, y: Matrix) -> Matrix:
-        F = self.ctx.algebra.field
-        out = self.space.zero()
-        for i in range(self.dim):
-            xi = x[i, 0]
-            if xi == F.of(0):
-                continue
-            for j in range(self.dim):
-                yj = y[j, 0]
-                if yj == F.of(0):
-                    continue
-                out = out + self.table[(i, j)].scale(xi).scale(yj)
-        return out
+        # the table's keys are in (i, j) order, matching the entries of x (x) y
+        return combine(x.kron(y), list(self.table.values()), self.dim, 1)
 
     def is_invertible(self, x: Matrix) -> bool:
         """Two-sided inverse through the regular representation."""
@@ -553,13 +537,10 @@ def _has_two_sided_inverse(products, one_left: Matrix,
     coordinates of (x . y_j, y_j . x) for each basis element y_j and those
     of the two identities: both solves must give the same c."""
     F = one_left.field
-    left = Matrix.zeros(F, one_left.rows, len(products))
-    right = Matrix.zeros(F, one_right.rows, len(products))
-    for j, (xy, yx) in enumerate(products):
-        left.a[:, j] = xy.a[:, 0]
-        right.a[:, j] = yx.a[:, 0]
-    li = solve(left, one_left)
-    ri = solve(right, one_right)
+    li = solve(Matrix.from_columns(F, one_left.rows, [xy.a for xy, _ in products]),
+               one_left)
+    ri = solve(Matrix.from_columns(F, one_right.rows, [yx.a for _, yx in products]),
+               one_right)
     return li is not None and ri is not None and li == ri
 
 

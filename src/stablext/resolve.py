@@ -26,7 +26,7 @@ import threading
 
 import numpy as np
 
-from .exactlin import Matrix, kernel_basis, quotient_reps, rank, solve
+from .exactlin import Matrix, combine, kernel_basis, quotient_reps, rank, solve
 from .algmod import (
     Algebra, Conflation, ConflationError, Module, ModuleMap,
     column_space_basis, direct_sum, dual_module, hom_space, kernel_module,
@@ -343,8 +343,8 @@ class Resolver:
             cols = [(post.matrix * h.matrix).flatten().a for h in hb.maps]
         else:
             cols = [(h.matrix * pre.matrix).flatten().a for h in hb.maps]
-        x = solve(Matrix(self.algebra.field, np.hstack(cols)),
-                  rhs.matrix.flatten())
+        b = rhs.matrix.flatten()
+        x = solve(Matrix.from_columns(self.algebra.field, b.rows, cols), b)
         if x is None:
             return None
         return hb.combine(x)
@@ -357,11 +357,8 @@ class _HomBasis:
         self.source = M
         self.target = N
         self.maps = hom_space(M, N)
-        F = M.algebra.field
-        if self.maps:
-            self.flat = Matrix(F, np.hstack([h.matrix.flatten().a for h in self.maps]))
-        else:
-            self.flat = Matrix.zeros(F, M.dim * N.dim, 0)
+        self.flat = Matrix.from_columns(M.algebra.field, M.dim * N.dim,
+                                        [h.matrix.flatten().a for h in self.maps])
 
     @property
     def dim(self):
@@ -374,12 +371,8 @@ class _HomBasis:
         return x
 
     def combine(self, coeffs: Matrix) -> ModuleMap:
-        F = self.source.algebra.field
-        mat = Matrix.zeros(F, self.target.dim, self.source.dim)
-        for i, h in enumerate(self.maps):
-            c = coeffs[i, 0]
-            if c != F.of(0):
-                mat = mat + h.matrix.scale(c)
+        mat = combine(coeffs, [h.matrix for h in self.maps],
+                      self.target.dim, self.source.dim)
         return ModuleMap(self.source, self.target, mat, _skip_checks=True)
 
 
@@ -455,14 +448,9 @@ class ExtSpace:
 
 def _hom_precompose_matrix(src: _HomBasis, dst: _HomBasis, d: ModuleMap) -> Matrix:
     """Matrix of phi -> phi . d from src = Hom(P_{k-1}, N) to dst = Hom(P_k, N)."""
-    F = d.source.algebra.field
-    cols = []
-    for h in src.maps:
-        cols.append(dst.coords(ModuleMap(d.source, h.target, h.matrix * d.matrix,
-                                         _skip_checks=True)).a)
-    if not cols:
-        return Matrix.zeros(F, dst.dim, 0)
-    return Matrix(F, np.hstack(cols))
+    cols = [dst.coords(ModuleMap(d.source, h.target, h.matrix * d.matrix,
+                                 _skip_checks=True)).a for h in src.maps]
+    return Matrix.from_columns(d.source.algebra.field, dst.dim, cols)
 
 
 class ExtElement:
@@ -594,8 +582,7 @@ def pullback_sequence(c: Conflation, h: ModuleMap) -> Conflation:
     W, pX, pA = pullback(defl, h)
     # X_1 maps into W through (d, 0)
     d1 = c.maps[-2]
-    ext = mediating_map_pullback(W, pX, pA, defl, h, d1,
-                                 zero_map(d1.source, h.source))
+    ext = mediating_map_pullback(pX, pA, d1, zero_map(d1.source, h.source))
     if ext is None:
         raise RuntimeError("pullback corestriction failed")
     mods = c.modules[:-2] + [W, h.source]
@@ -719,8 +706,7 @@ def connecting_map(resolver: Resolver, c: Conflation, X: Module, n: int,
         else:
             out = _connect_by_lifting(resolver, c, elt, covariant)
         cols.append(dst.coords(out).a)
-    mat = Matrix(F, np.hstack(cols)) if cols else Matrix.zeros(F, dst.dim, 0)
-    return CosetMap(src, dst, mat)
+    return CosetMap(src, dst, Matrix.from_columns(F, dst.dim, cols))
 
 
 def _connect_by_lifting(resolver, c: Conflation, elt: ExtElement,

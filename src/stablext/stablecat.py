@@ -10,8 +10,6 @@ makes that move unique, so the hot path can work with plain cosets.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .exactlin import Matrix, quotient_reps, rank, solve
 from .algmod import Module, ModuleMap, column_space_basis, identity_map
 from .frobenius import CertificationError, FrobeniusContext, UnitConflation
@@ -203,7 +201,7 @@ class OmegaIso:
                 raise CertificationError(
                     "syzygy transport failed: connecting map not surjective")
             cols.append(self.target.pmod.from_coset_coords(y).a)
-        self.matrix = Matrix(F, np.hstack(cols))
+        self.matrix = Matrix.from_columns(F, self.target.dim, cols)
 
     def apply(self, m: StableMorphism) -> StableMorphism:
         return self.target.morphism(self.matrix * m.coords)
@@ -236,7 +234,7 @@ def _classical_quotient(ctx: FrobeniusContext, M: Module, N: Module):
             cols = [hb.coords(ModuleMap(M, N, cover.matrix * u.matrix,
                                         _skip_checks=True)).a
                     for u in through.maps]
-        span = Matrix(F, np.hstack(cols)) if cols else Matrix.zeros(F, hb.dim, 0)
+        span = Matrix.from_columns(F, hb.dim, cols)
         return hb, quotient_reps(hb.dim, column_space_basis(span))[1]
 
     return ctx.memo("classical", (M, N), build)

@@ -16,7 +16,7 @@ import numpy as np
 from .exactlin import GF, QQ, Matrix, kernel_basis, rank
 from .algmod import (
     ModuleMap, check_conflation, identity_map, image_module, kernel_module,
-    simples, zero_map,
+    simples,
 )
 from .fixtures import (
     dual_numbers, hereditary_a2, indecomposable_inventory, trunc_poly,
@@ -84,13 +84,10 @@ class _Fixtures:
 
 def _rand_hom(ctx, rng, M, N) -> ModuleMap:
     F = ctx.algebra.field
-    basis = ctx.resolver.hom_basis(M, N).maps
-    f = zero_map(M, N)
-    for h in basis:
-        c = rng.randrange(F.p) if F.is_prime_field else rng.randint(-2, 2)
-        if c:
-            f = f + ModuleMap(M, N, h.matrix.scale(c), _skip_checks=True)
-    return f
+    hb = ctx.resolver.hom_basis(M, N)
+    return hb.combine(Matrix.column(F, [
+        rng.randrange(F.p) if F.is_prime_field else rng.randint(-2, 2)
+        for _ in hb.maps]))
 
 
 # ----------------------------------------------------------------------
@@ -191,14 +188,14 @@ def _invertible_action(ctx, f, X):
     if src.dim != dst.dim:
         return False
     cols = [dst.coords(push_out(f, g)).a for g in src.basis_elements()]
-    if cols and rank(Matrix(F, np.hstack(cols))) != dst.dim:
+    if cols and rank(Matrix.from_columns(F, dst.dim, cols)) != dst.dim:
         return False
     src = ctx.resolver.ext(f.target, X, n + 1)
     dst = ctx.resolver.ext(f.source, X, n + 1)
     if src.dim != dst.dim:
         return False
     cols = [dst.coords(pull_back(g, f)).a for g in src.basis_elements()]
-    if cols and rank(Matrix(F, np.hstack(cols))) != dst.dim:
+    if cols and rank(Matrix.from_columns(F, dst.dim, cols)) != dst.dim:
         return False
     return True
 
@@ -359,8 +356,8 @@ def _exact_pair(ctx, F, kincl, fc, X, anchored):
     spK = p_subspace(ctx, K, target)
     g_cols = [spM.qcoords(pull_back(m, fc)).a for m in spI.basis_representatives()]
     f_cols = [spK.qcoords(pull_back(m, kincl)).a for m in spM.basis_representatives()]
-    gmat = Matrix(F, np.hstack(g_cols)) if g_cols else Matrix.zeros(F, spM.dim, 0)
-    fmat = Matrix(F, np.hstack(f_cols)) if f_cols else Matrix.zeros(F, spK.dim, 0)
+    gmat = Matrix.from_columns(F, spM.dim, g_cols)
+    fmat = Matrix.from_columns(F, spK.dim, f_cols)
     if not (fmat * gmat).is_zero():
         return False
     return rank(gmat) == kernel_basis(fmat).cols

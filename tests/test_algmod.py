@@ -13,7 +13,7 @@ from stablext.algmod import (
     mediating_map_pullback, projective_cover, projective_indecs, pullback,
     pushout, quotient_module, rad, random_hom, simples, socle, splice,
     submodule, top, zero_map, zero_module, ModuleMap, Module,
-    _projective_inclusion, column_space_basis,
+    column_space_basis,
 )
 from stablext.fixtures import (
     dual_numbers, hereditary_a2, indecomposable_inventory, t2_dual_numbers,
@@ -281,7 +281,7 @@ def test_pullback_universal_property(dn):
         # build a cone: need f cX = f cY; take cY with matching composite
         for h in cY_candidates:
             if (f * cX).matrix == (f * h).matrix:
-                m = mediating_map_pullback(W, pX, pY, f, f, cX, h)
+                m = mediating_map_pullback(pX, pY, cX, h)
                 assert m is not None
                 assert (pX * m).matrix == cX.matrix
                 assert (pY * m).matrix == h.matrix
@@ -358,6 +358,21 @@ def test_map_validation_rejects_non_intertwiner(dn):
         ModuleMap(A, S, bad)
 
 
+def test_map_sum_needs_equal_ends():
+    # on t2-dual-numbers over GF(2) the simples are both 1-dimensional, so
+    # 1_S1 + 1_S2 used to be the zero map S1 -> S1
+    A = t2_dual_numbers(F2)
+    S1, S2 = simples(A)
+    for op in (lambda f, g: f + g, lambda f, g: f - g):
+        with pytest.raises(ModuleError, match="not parallel"):
+            op(identity_map(S1), identity_map(S2))
+        with pytest.raises(ModuleError, match="not parallel"):
+            op(zero_map(S1, S1), zero_map(S1, S2))
+        # equal ends that are distinct objects still add
+        copy = Module(A, S1.dim, S1.action, name="S1'")
+        assert op(identity_map(S1), identity_map(copy)).is_zero()
+
+
 def test_mediating_map_unique(dn):
     # uniqueness: the kernel of the stacked projections is zero
     from stablext.exactlin import kernel_basis
@@ -387,7 +402,7 @@ def _reference_projective_cover(M):
             v = solve(q.matrix, Matrix(F, Vi.a[:, [t]]))
             assert v is not None
             w = M.act(e) * v
-            incl = _projective_inclusion(A, i)
+            incl = column_space_basis(A.mult_by(e, "right"))
             cols = Matrix.zeros(F, M.dim, projs[i].dim)
             for k in range(projs[i].dim):
                 cols.a[:, k] = (M.act(Matrix(F, incl.a[:, [k]])) * w).a[:, 0]

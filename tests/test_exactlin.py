@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stablext.exactlin import (
-    GF, QQ, FieldMismatch, Matrix, kernel_basis, quotient_reps, rank, rref, solve,
+    GF, QQ, FieldMismatch, Matrix, combine, kernel_basis, quotient_reps, rank,
+    rref, solve,
 )
 
 F2 = GF(2)
@@ -318,3 +319,71 @@ def test_unit_is_identity_column(field):
             e = Matrix.unit(field, n, j)
             assert e == Matrix(field, I.a[:, [j]])
             assert e.a.dtype == I.a.dtype
+
+
+# -- linear combinations and coordinate matrices --------------------------
+
+@pytest.mark.parametrize("field", [QQ] + [GF(p) for p in MUL_PRIMES], ids=str)
+@settings(max_examples=25, deadline=None)
+@given(terms=st.integers(0, 6), nonzero=st.integers(0, 6), rows=st.integers(0, 6),
+       cols=st.integers(0, 6), top=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(terms=0, nonzero=0, rows=3, cols=2, top=False, seed=0)     # empty family
+@example(terms=5, nonzero=0, rows=3, cols=2, top=True, seed=0)      # all zero
+@example(terms=5, nonzero=1, rows=3, cols=2, top=True, seed=0)      # one term
+@example(terms=1, nonzero=1, rows=0, cols=3, top=True, seed=0)      # no entries
+@example(terms=3, nonzero=2, rows=4, cols=0, top=True, seed=0)
+@example(terms=4, nonzero=4, rows=32, cols=32, top=True, seed=0)    # 4096 madds
+@example(terms=4, nonzero=4, rows=31, cols=33, top=True, seed=0)    # just below
+@example(terms=3, nonzero=3, rows=2, cols=2, top=True, seed=0)      # 2 blocks at 2^31-1
+@example(terms=1023, nonzero=1023, rows=1, cols=3, top=True, seed=0)
+@example(terms=1024, nonzero=1024, rows=1, cols=3, top=True, seed=0)
+@example(terms=1025, nonzero=1025, rows=1, cols=3, top=True, seed=0)
+def test_combine_matches_python_reference(field, terms, nonzero, rows, cols,
+                                          top, seed):
+    rng = np.random.default_rng(seed)
+    prime = field.is_prime_field
+
+    def entry(nonzero=False):
+        if prime:
+            return field.p - 1 if top else int(rng.integers(nonzero, field.p))
+        num = int(rng.integers(-9, 10)) or (7 if nonzero else 0)
+        return Fraction(num, int(rng.integers(1, 5)))
+
+    def matrix():
+        a = field.zeros(rows, cols)
+        for i, j in product(range(rows), range(cols)):
+            a[i, j] = field.of(entry())
+        return Matrix(field, a)
+
+    mats = [matrix() for _ in range(terms)]
+    coeffs = [0] * terms
+    for k in rng.permutation(terms)[:nonzero]:
+        coeffs[k] = entry(nonzero=True)
+    # the reference: Python integers (Fractions over Q), reduced at the end
+    entries = [m.a.tolist() for m in mats]
+    want = [[sum((c * e[i][j] for c, e in zip(coeffs, entries)), Fraction(0))
+             for j in range(cols)] for i in range(rows)]
+    if prime:
+        want = [[int(x) % field.p for x in row] for row in want]
+    got = combine(Matrix.column(field, coeffs), mats, rows, cols)
+    assert got.field == field and got.a.shape == (rows, cols)
+    assert got.a.dtype == field.zeros(0, 0).dtype
+    assert got.a.tolist() == want
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=str)
+def test_combine_needs_one_coefficient_per_matrix(field):
+    mats = [Matrix.identity(field, 2)] * 2
+    for n in (0, 1, 3):
+        with pytest.raises(ValueError, match="coefficients"):
+            combine(Matrix.column(field, [1] * n), mats, 2, 2)
+
+
+@pytest.mark.parametrize("field", [F2, F65521, QQ], ids=str)
+def test_from_columns(field):
+    empty = Matrix.from_columns(field, 3, [])
+    assert empty == Matrix.zeros(field, 3, 0)
+    assert empty.a.dtype == field.zeros(0, 0).dtype
+    I = Matrix.identity(field, 3)
+    blocks = [I.a[:, [2]], I.a[:, :2]]
+    assert Matrix.from_columns(field, 3, blocks) == I.take_columns([2, 0, 1])
