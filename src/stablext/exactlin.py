@@ -11,6 +11,13 @@ partial sum is an integer below 2^53, so each is computed exactly and the
 result is converted back to int64 residues; no result is ever a float.
 Pivoting is leftmost-column-first, topmost-row-first, so every basis
 produced anywhere in the package is reproducible across runs.
+
+Elimination picks one of three kernels by field and size: GF(2) matrices
+of more than 16 cells are packed into one Python int per row and reduced
+by XOR (Albrecht, Bard, Hart, ACM TOMS 37(1), 2010); other matrices of at
+most 256 cells are reduced on Python lists; the rest column by column in
+numpy.  The reduced row echelon form of a matrix is unique, so all three
+return the same R and the same pivots.
 """
 
 from __future__ import annotations
@@ -42,6 +49,9 @@ class Field:
                 if p % d == 0:
                     raise ValueError(f"{p} is not prime")
         self.p = p
+        if p is not None:
+            # the int64 sum of `step` products of residues cannot overflow
+            self.step = max(1, (2**63 - 1) // (p - 1) ** 2)
 
     @property
     def is_prime_field(self) -> bool:
@@ -126,6 +136,8 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Matrix":
+        """The matrix with these rows; no rows give 0 x 0, the shape of
+        every action on a 0-dimensional module."""
         return cls(field, field.array(rows))
 
     @classmethod
@@ -148,7 +160,8 @@ class Matrix:
 
     @classmethod
     def column(cls, field: Field, entries) -> "Matrix":
-        return cls.from_rows(field, [[x] for x in entries])
+        """A len(entries) x 1 column, also when there are no entries."""
+        return cls(field, field.array([[x] for x in entries]).reshape(-1, 1))
 
     @classmethod
     def from_columns(cls, field: Field, rows: int, blocks) -> "Matrix":
@@ -173,13 +186,13 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.field == other.field and self.a.shape == other.a.shape
-                and bool(np.all(self.a == other.a)))
+                and bool((self.a == other.a).all()))
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.a.tolist()})"
 
     def is_zero(self) -> bool:
-        return self.a.size == 0 or bool(np.all(self.a == self.field.of(0)))
+        return self.a.size == 0 or bool((self.a == self.field.of(0)).all())
 
     def copy_array(self) -> np.ndarray:
         return self.a.copy()
@@ -215,32 +228,36 @@ class Matrix:
         return Matrix(self.field, c)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch in *: {self.a.shape} x {other.a.shape}")
-        if self.a.size == 0 or other.a.size == 0:
-            return Matrix.zeros(self.field, self.rows, other.cols)
-        if not self.field.is_prime_field:
-            return Matrix(self.field, self.a @ other.a)
-        p = self.field.p
-        if (self.cols * (p - 1) ** 2 < 2**53
-                and self.rows * self.cols * other.cols >= _BLAS_MIN_MADDS):
+        F = self.field
+        if other.field is not F:
+            self._check(other)
+        a, b = self.a, other.a
+        m, k = a.shape
+        kb, n = b.shape
+        if k != kb:
+            raise ValueError(f"shape mismatch in *: {a.shape} x {b.shape}")
+        p = F.p
+        if p is None:
+            if a.size == 0 or b.size == 0:
+                return Matrix.zeros(F, m, n)
+            return Matrix(F, a @ b)
+        if m * k * n >= _BLAS_MIN_MADDS and k * (p - 1) ** 2 < 2**53:
             # every partial sum is an integer below 2^53, so float64 BLAS
             # computes it exactly (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008)
-            c = (self.a.astype(np.float64) @ other.a.astype(np.float64)).astype(np.int64)
+            c = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
             c %= p
-            return Matrix(self.field, c)
-        # the int64 sum of `step` products of residues cannot overflow
-        step = max(1, (2**63 - 1) // (p - 1) ** 2)
-        if self.cols <= step:
-            c = self.a @ other.a
+            return Matrix(F, c)
+        step = F.step
+        if k <= step:
+            # also every small product, and int64 zeros for an empty operand
+            c = a @ b
             c %= p
-            return Matrix(self.field, c)
-        c = np.zeros((self.rows, other.cols), dtype=np.int64)
-        for s in range(0, self.cols, step):
-            c += self.a[:, s:s + step] @ other.a[s:s + step, :] % p
+            return Matrix(F, c)
+        c = np.zeros((m, n), dtype=np.int64)
+        for s in range(0, k, step):
+            c += a[:, s:s + step] @ b[s:s + step, :] % p
             c %= p
-        return Matrix(self.field, c)
+        return Matrix(F, c)
 
     def scale(self, s) -> "Matrix":
         s = self.field.of(s)
@@ -265,10 +282,12 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        c = np.kron(self.a, other.a)
+        (m, n), (r, s) = self.a.shape, other.a.shape
+        # np.kron's values, without its per-call cost
+        c = (self.a[:, None, :, None] * other.a[None, :, None, :]).reshape(m * r, n * s)
         if self.field.is_prime_field:
             c %= self.field.p
-        return Matrix(self.field, c.reshape(self.rows * other.rows, self.cols * other.cols))
+        return Matrix(self.field, c)
 
     @staticmethod
     def block_diag(field: Field, blocks) -> "Matrix":
@@ -287,9 +306,6 @@ class Matrix:
     def flatten(self) -> "Matrix":
         """Row-major flattening into a single column."""
         return Matrix(self.field, self.a.reshape(self.rows * self.cols, 1).copy())
-
-    def unflatten(self, rows: int, cols: int) -> "Matrix":
-        return Matrix(self.field, self.a.reshape(rows, cols).copy())
 
 
 def combine(coeffs: Matrix, mats, rows: int, cols: int) -> Matrix:
@@ -313,8 +329,97 @@ def combine(coeffs: Matrix, mats, rows: int, cols: int) -> Matrix:
 # Elimination primitives
 # ----------------------------------------------------------------------
 
+# Regime bounds, in cells (rows x columns), from timing the kernels:
+# over GF(2) packing pays for its fixed cost above 16 cells; elsewhere
+# Python lists beat numpy's per-call cost up to 256 cells on the mostly
+# sparse matrices the package reduces (on dense 16 x 16 matrices over a
+# large prime numpy is already faster).
+_GF2_LIST_MAX_CELLS = 16
+_LIST_MAX_CELLS = 256
+
+
 def _rref_array(field: Field, a: np.ndarray):
     """In-place reduced row echelon form; returns pivot column list."""
+    nrows, ncols = a.shape
+    if nrows == 0 or ncols == 0:
+        return []
+    cells = nrows * ncols
+    if field.p == 2 and cells > _GF2_LIST_MAX_CELLS:
+        return _rref_gf2(a)
+    if cells <= _LIST_MAX_CELLS:
+        return _rref_list(field, a)
+    return _rref_numpy(field, a)
+
+
+def _rref_gf2(a: np.ndarray):
+    """_rref_array over GF(2): bit j of the int for row i is a[i, j]."""
+    nrows, ncols = a.shape
+    packed = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
+    nbytes = packed.shape[1]
+    data = packed.tobytes()
+    lead = {}                       # leading column -> the row holding it
+    for i in range(nrows):
+        x = int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "little")
+        while x:
+            c = (x & -x).bit_length() - 1
+            y = lead.get(c)
+            if y is None:
+                lead[c] = x
+                break
+            x ^= y
+    pivots = sorted(lead)
+    # Clear each pivot column above its row, the rightmost first: the row
+    # used has by then lost every pivot to its right.
+    for i in range(len(pivots) - 1, 0, -1):
+        bit, y = 1 << pivots[i], lead[pivots[i]]
+        for c in pivots[:i]:
+            if lead[c] & bit:
+                lead[c] ^= y
+    data = b"".join(lead[c].to_bytes(nbytes, "little") for c in pivots)
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(len(pivots), nbytes)
+    a[:len(pivots)] = np.unpackbits(rows, axis=1, count=ncols, bitorder="little")
+    a[len(pivots):] = 0
+    return pivots
+
+
+def _rref_list(field: Field, a: np.ndarray):
+    """_rref_array on Python lists: int residues mod p, or Fractions."""
+    nrows, ncols = a.shape
+    p = field.p
+    rows = a.tolist()
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        piv = top[c]
+        if piv != 1:
+            inv = field.inv(piv)
+            top[c:] = ([x * inv % p for x in top[c:]] if p is not None
+                       else [x * inv for x in top[c:]])
+        tail = top[c:]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row[c:] = ([(x - f * y) % p for x, y in zip(row[c:], tail)]
+                           if p is not None
+                           else [x - f * y for x, y in zip(row[c:], tail)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    if rows:
+        a[:] = rows
+    return pivots
+
+
+def _rref_numpy(field: Field, a: np.ndarray):
+    """_rref_array column by column on the array itself."""
     nrows, ncols = a.shape
     pivots = []
     r = 0
@@ -395,11 +500,11 @@ def solve(A: Matrix, b: Matrix):
         raise FieldMismatch(f"{A.field} vs {b.field}")
     if A.rows != b.rows:
         raise ValueError(f"solve: {A.rows} rows vs rhs {b.rows}")
-    aug = np.hstack([A.copy_array(), b.copy_array()])
+    aug = np.concatenate((A.a, b.a), axis=1)
     pivots = _rref_array(A.field, aug)
     n = A.cols
-    # any pivot landing in the rhs block marks inconsistency
-    if any(c >= n for c in pivots):
+    # a pivot landing in the rhs block (pivots ascend) marks inconsistency
+    if pivots and pivots[-1] >= n:
         return None
     X = A.field.zeros(n, b.cols)
     X[pivots, :] = aug[:len(pivots), n:]

@@ -419,9 +419,6 @@ class ExtSpace:
     def dim(self) -> int:
         return self.reps_q.cols
 
-    def zero_coords(self) -> Matrix:
-        return Matrix.zeros(self.resolver.algebra.field, self.dim, 1)
-
     def coords(self, elt: "ExtElement") -> Matrix:
         """Coset coordinates of an element (must match (M, N, n))."""
         if elt.n != self.n:
@@ -662,9 +659,6 @@ class CosetMap:
 
     def apply(self, coords: Matrix) -> Matrix:
         return self.matrix * coords
-
-    def apply_element(self, elt: ExtElement) -> Matrix:
-        return self.matrix * self.source.coords(elt)
 
     def kernel(self) -> Matrix:
         return kernel_basis(self.matrix)

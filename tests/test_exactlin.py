@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from stablext import exactlin
 from stablext.exactlin import (
     GF, QQ, FieldMismatch, Matrix, combine, kernel_basis, quotient_reps, rank,
     rref, solve,
@@ -387,3 +388,125 @@ def test_from_columns(field):
     I = Matrix.identity(field, 3)
     blocks = [I.a[:, [2]], I.a[:, :2]]
     assert Matrix.from_columns(field, 3, blocks) == I.take_columns([2, 0, 1])
+
+
+# -- shapes of the constructors -------------------------------------------
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=str)
+def test_column_of_no_entries_is_0_by_1(field):
+    assert Matrix.column(field, []).a.shape == (0, 1)
+    assert Matrix.column(field, [1, 0]).a.shape == (2, 1)
+    # no rows is the 0 x 0 action on a 0-dimensional module
+    assert Matrix.from_rows(field, []).a.shape == (0, 0)
+
+
+# -- the elimination regimes ----------------------------------------------
+
+REGIME_FIELDS = [F2, F3, F65521, GF(2**31 - 1), QQ]
+# Both sides of every regime bound: 16/17 cells (packed GF(2)), 256/257
+# cells (Python lists), and 7/8/9 and 63/64/65 columns, where a packed row
+# crosses a byte and a 64-bit word; plus matrices with no rows or columns.
+REGIME_SHAPES = [(0, 0), (0, 5), (5, 0), (4, 4), (1, 16), (16, 1), (1, 17),
+                 (17, 1), (16, 16), (1, 256), (1, 257), (257, 1), (16, 17),
+                 (3, 7), (3, 8), (3, 9), (5, 63), (5, 64), (5, 65)]
+
+
+def _reference_rref(field, rows, ncols):
+    """Textbook Gauss-Jordan in Python ints mod p, or in Fractions."""
+    p = field.p
+    red = (lambda x: x % p) if p else (lambda x: x)
+    inv = (lambda x: pow(x, -1, p)) if p else (lambda x: 1 / x)
+    R = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
+        if i is None:
+            continue
+        R[r], R[i] = R[i], R[r]
+        s = inv(R[r][c])
+        R[r] = [red(x * s) for x in R[r]]
+        for j in range(len(R)):
+            if j != r and R[j][c] != 0:
+                f = R[j][c]
+                R[j] = [red(x - f * y) for x, y in zip(R[j], R[r])]
+        pivots.append(c)
+    return R, pivots
+
+
+def _regime_rows(field, nrows, ncols, kind, rng):
+    """Rows of field elements: uniform, sparse, with duplicate rows, or of
+    rank at most min(nrows, ncols) // 2."""
+    p = field.p
+
+    def entry():
+        if kind == "sparse" and rng.random() < 0.8:
+            return field.of(0)
+        if p is None:
+            return Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+        if kind == "sparse":
+            return int(rng.choice([1, p - 1, int(rng.integers(0, p))]))
+        return int(rng.integers(0, p))
+
+    if kind == "low-rank":
+        k = min(nrows, ncols) // 2
+        left = [[entry() for _ in range(k)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(k)]
+        rows = [[field.of(sum((x * y for x, y in zip(row, col)), Fraction(0)))
+                 for col in zip(*right)] if k else [field.of(0)] * ncols
+                for row in left]
+        return rows
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "duplicate":
+        for i in range(1, nrows, 2):
+            rows[i] = list(rows[int(rng.integers(0, i))])
+    return rows
+
+
+@pytest.mark.parametrize("shape", REGIME_SHAPES, ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("field", REGIME_FIELDS, ids=str)
+@settings(max_examples=4, deadline=None)
+@given(kind=st.sampled_from(["uniform", "sparse", "duplicate", "low-rank"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="low-rank", seed=0)
+@example(kind="duplicate", seed=0)
+def test_every_rref_regime_matches_reference(field, shape, kind, seed):
+    nrows, ncols = shape
+    rows = _regime_rows(field, nrows, ncols, kind, np.random.default_rng(seed))
+    want_R, want_pivots = _reference_rref(field, rows, ncols)
+    a = field.zeros(nrows, ncols)
+    for i, row in enumerate(rows):
+        a[i, :] = row
+    kernels = [exactlin._rref_array, exactlin._rref_list, exactlin._rref_numpy]
+    if field == F2:
+        kernels.append(lambda field, a: exactlin._rref_gf2(a))
+    for kernel in kernels:
+        b = a.copy()
+        assert kernel(field, b) == want_pivots
+        assert b.dtype == a.dtype and b.tolist() == want_R
+
+
+# -- the small-product path -----------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 2**31 - 1])
+@pytest.mark.parametrize("mkn", [(45, 7, 13), (16, 16, 16), (65, 1, 63),
+                                 (64, 1, 64), (35, 3, 39), (32, 2, 64)],
+                         ids=lambda s: "%dx%dx%d" % s)
+def test_mul_either_side_of_4096_madds(p, mkn):
+    m, k, n = mkn
+    F = GF(p)
+    rng = np.random.default_rng(m * k * n)
+    for A, B in [(np.full((m, k), p - 1), np.full((k, n), p - 1)),
+                 (rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n)))]:
+        C = Matrix(F, A.astype(np.int64)) * Matrix(F, B.astype(np.int64))
+        assert C.a.dtype == np.int64
+        assert C.a.tolist() == (A.astype(object) @ B.astype(object) % p).tolist()
+
+
+def test_mul_across_fields_raises_and_equal_fields_multiply():
+    with pytest.raises(FieldMismatch):
+        Matrix.identity(F2, 2) * Matrix.identity(F3, 2)
+    with pytest.raises(FieldMismatch):
+        Matrix.zeros(GF(2**31 - 1), 0, 0) * Matrix.zeros(QQ, 0, 0)
+    # equal fields need not be the same object
+    assert Matrix.identity(GF(3), 2) * Matrix.identity(GF(3), 2) == Matrix.identity(F3, 2)
