@@ -603,6 +603,17 @@ class Module:
     def __hash__(self):
         return id(self)
 
+    @property
+    def key(self):
+        """(dim, action entries): equal exactly when the structures over one
+        algebra are equal; the name is ignored.  Built on each call, since
+        ``action`` is a plain list."""
+        if self.algebra.field.is_prime_field:
+            return self.dim, b"".join(m.a.astype(np.int64, copy=False).tobytes()
+                                      for m in self.action)
+        # values, never the bytes of an object array: those are addresses
+        return self.dim, tuple(x for m in self.action for x in m.a.flat)
+
     def __repr__(self):
         return f"Module({self.name or '?'}, dim={self.dim})"
 

@@ -151,8 +151,8 @@ class FrobeniusContext:
 
     def is_n_projective(self, M: Module) -> bool:
         # pd M <= n is decided at depth n; deeper terms stay lazy
-        return self.memo("nproj", (M,),
-                          lambda: self.proj_dim(M, self.n) is not None)
+        return self.memo("nproj", (M.algebra,),
+                         lambda: self.proj_dim(M, self.n) is not None, M.key)
 
     def projective_list(self):
         return projective_indecs(self.algebra)
@@ -226,7 +226,8 @@ class FrobeniusContext:
         n steps (each step embeds through a minimal generating set of the
         maps into the regular module and checks exactness).
         """
-        return self.memo("gproj", (M,), lambda: self._gproj_compute(M))
+        return self.memo("gproj", (M.algebra,), lambda: self._gproj_compute(M),
+                         M.key)
 
     def _gproj_compute(self, M: Module) -> bool:
         if M.dim == 0:

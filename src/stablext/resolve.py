@@ -77,6 +77,7 @@ class Resolution:
         self.terms = []
         self.covers = []
         self.incls = []
+        self._diffs = {}
         self.finished = M.dim == 0
 
     def extend(self, length: int):
@@ -130,8 +131,15 @@ class Resolution:
         return zero_map(self.syzygy(k + 1), self.term(k))
 
     def diff(self, k: int) -> ModuleMap:
-        """d_k: P_k -> P_{k-1} (k >= 1)."""
-        return self.incl(k - 1) * self.cover(k)
+        """d_k: P_k -> P_{k-1} (k >= 1), computed once."""
+        d = self._diffs.get(k)
+        if d is None:
+            d = self.incl(k - 1) * self.cover(k)
+            # past the last term the map runs between fresh zero modules,
+            # as term(k) gives them: only the real differentials are kept
+            if k < len(self.terms):
+                d = self._diffs.setdefault(k, d)
+        return d
 
     def augmentation(self) -> ModuleMap:
         return self.cover(0)
@@ -216,6 +224,13 @@ class Memo:
     so their ids stay valid, and falsy values are cached like any other.
     A hit is a lock-free read; a miss is checked again and built under
     ``lock``, so every thread gets the one object built for a key.
+
+    Two keyings use it.  A value that holds modules or maps is keyed by
+    identity: its objects are the ``objects`` and stay pinned.  A value
+    that holds no module (the ``nproj`` and ``gproj`` flags, the
+    ``hom_mats`` matrices) is keyed by structure: ``objects`` is just the
+    algebra and the parameters carry :attr:`Module.key`, so equal modules
+    built as distinct objects share one entry and none is kept alive.
     """
 
     def __init__(self, lock):
@@ -293,7 +308,7 @@ class Resolver:
         return self.coresolution(M).cosyzygy(k)
 
     def hom_basis(self, M: Module, N: Module):
-        return self._memo("hom", (M, N), lambda: _HomBasis(M, N))
+        return self._memo("hom", (M, N), lambda: _HomBasis(self, M, N))
 
     def ext(self, M: Module, N: Module, n: int) -> "ExtSpace":
         return self._memo("ext", (M, N), lambda: ExtSpace(self, M, N, n), n)
@@ -350,15 +365,28 @@ class Resolver:
         return hb.combine(x)
 
 
-class _HomBasis:
-    """Hom basis plus its flattened coordinate matrix."""
+def _hom_matrices(M: Module, N: Module):
+    """The matrices of the hom basis and their flattened coordinate matrix,
+    read-only: one structure key shares them between module objects."""
+    mats = [h.matrix for h in hom_space(M, N)]
+    flat = Matrix.from_columns(M.algebra.field, M.dim * N.dim,
+                               [m.flatten().a for m in mats])
+    for m in mats + [flat]:
+        m.a.setflags(write=False)
+    return mats, flat
 
-    def __init__(self, M: Module, N: Module):
+
+class _HomBasis:
+    """Hom basis between two module objects plus its flattened coordinate
+    matrix; the matrices are shared by every pair of equal structure."""
+
+    def __init__(self, resolver: Resolver, M: Module, N: Module):
         self.source = M
         self.target = N
-        self.maps = hom_space(M, N)
-        self.flat = Matrix.from_columns(M.algebra.field, M.dim * N.dim,
-                                        [h.matrix.flatten().a for h in self.maps])
+        mats, self.flat = resolver._memo("hom_mats", (M.algebra,),
+                                         lambda: _hom_matrices(M, N),
+                                         M.key, N.key)
+        self.maps = [ModuleMap(M, N, m, _skip_checks=True) for m in mats]
 
     @property
     def dim(self):

@@ -4,10 +4,11 @@ import pytest
 
 from stablext.exactlin import GF, QQ, Matrix, rank
 from stablext.algmod import (
-    ModuleMap, direct_sum, hom_space, identity_map, is_isomorphic,
+    Module, ModuleMap, direct_sum, hom_space, identity_map, is_isomorphic,
     projective_indecs, quotient_module, random_hom, simples, splice, zero_map,
 )
 from stablext.fixtures import dual_numbers, hereditary_a2, trunc_poly
+from stablext.frobenius import FrobeniusContext
 from stablext.resolve import (
     ExtElement, Resolver, baer_sum, baer_sum_sequence, class_from_sequence,
     connecting_map, pull_back, pullback_sequence, push_out, pushout_sequence,
@@ -475,3 +476,172 @@ def test_solve_hom_both_sides(dn):
     S = simples(A)[0]
     one = identity_map(S)
     assert R.solve_hom(S, P, one, post=zero_map(P, S)) is None
+
+
+# -- structure keys: hom matrices and relative projectivity -------------
+
+def _copy_module(M, name="copy"):
+    # an equal module from freshly allocated entries (new Fractions over Q)
+    F = M.algebra.field
+    action = [Matrix(F, F.array([[str(x) for x in row] for row in m.a.tolist()])
+                     .reshape(M.dim, M.dim)) for m in M.action]
+    return Module(M.algebra, M.dim, action, name=name)
+
+
+def _entries(memo, kind):
+    return sum(1 for key in memo._store if key[0] == kind)
+
+
+def _count_hom_space(monkeypatch):
+    import stablext.resolve as resolve_mod
+    calls = []
+
+    def counted(M, N):
+        calls.append((M, N))
+        return hom_space(M, N)
+
+    monkeypatch.setattr(resolve_mod, "hom_space", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ])
+def test_equal_modules_share_one_hom_mats_entry(field, monkeypatch):
+    A = trunc_poly(3, field)
+    R = Resolver(A)
+    built = _count_hom_space(monkeypatch)
+    M = xquot(A, R, 2)
+    N = A.regular_module()
+    M2, N2 = _copy_module(M), _copy_module(N)
+    assert M2 is not M and M2 == M and M2.key == M.key
+    hb = R.hom_basis(M, N)
+    hb2 = R.hom_basis(M2, N2)
+    assert hb2 is not hb and hb.dim == hb2.dim == 2
+    assert _entries(R._memo, "hom") == 2
+    assert _entries(R._memo, "hom_mats") == 1 and len(built) == 1
+    assert hb2.flat is hb.flat
+    for h, h2 in zip(hb.maps, hb2.maps):
+        assert h.source is M and h.target is N
+        assert h2.source is M2 and h2.target is N2
+        assert h2.matrix is h.matrix
+
+
+def test_q_hom_mats_hit_after_gc(monkeypatch):
+    # the key holds Fraction values, not the addresses of freed objects
+    import gc
+    A = trunc_poly(3, QQ)
+    R = Resolver(A)
+    built = _count_hom_space(monkeypatch)
+    S = simples(A)[0]
+    for _ in range(3):
+        M = _copy_module(xquot(A, R, 2))
+        hb = R.hom_basis(M, S)
+        assert hb.dim == 1 and hb.maps[0].source is M
+        del M, hb
+        gc.collect()
+    assert _entries(R._memo, "hom_mats") == 1 and len(built) == 1
+    # equal dim, other action, built after the collection: its own entry
+    SS, _, _ = direct_sum([simples(A)[0], simples(A)[0]])
+    assert SS.dim == 2 and R.hom_basis(SS, S).dim == 2
+    assert _entries(R._memo, "hom_mats") == 2 and len(built) == 2
+
+
+def test_same_dim_other_action_gets_own_hom_mats():
+    A = dual_numbers(F2)
+    R = Resolver(A)
+    S = simples(A)[0]
+    SS, _, _ = direct_sum([S, simples(A)[0]])
+    P = A.regular_module()
+    assert SS.dim == P.dim == 2 and SS.key != P.key
+    assert R.hom_basis(P, P).dim == 2
+    assert R.hom_basis(SS, SS).dim == 4
+    assert _entries(R._memo, "hom_mats") == 2
+
+
+def test_shared_hom_matrices_are_read_only(dn):
+    A, R = dn
+    P = A.regular_module()
+    hb = R.hom_basis(P, P)
+    with pytest.raises(ValueError, match="read-only"):
+        hb.maps[0].matrix.a[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        hb.flat.a[0, 0] = 1
+    # arithmetic on them still gives fresh, writable matrices
+    m = hb.maps[0].matrix + hb.maps[1].matrix
+    m.a[0, 0] = 1
+
+
+def test_differentials_are_computed_once(dn):
+    A, R = dn
+    S = simples(A)[0]
+    res = R.resolution(S)
+    for k in range(1, 4):
+        d = res.diff(k)
+        assert d is res.diff(k)
+        assert d == res.incl(k - 1) * res.cover(k)
+        assert d.source is res.term(k) and d.target is res.term(k - 1)
+
+
+def _count_proj_dim(ctx, monkeypatch):
+    calls = []
+    proj_dim = ctx.proj_dim
+
+    def counted(M, bound=None):
+        calls.append(M)
+        return proj_dim(M, bound)
+
+    monkeypatch.setattr(ctx, "proj_dim", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [GF(2), QQ])
+def test_equal_modules_share_one_nproj_entry(field, monkeypatch):
+    import gc
+    ctx = FrobeniusContext(trunc_poly(3, field))
+    built = _count_proj_dim(ctx, monkeypatch)
+    P = ctx.algebra.regular_module()
+    copies = [_copy_module(P, f"P{i}") for i in range(3)]
+    assert all(ctx.is_n_projective(X) for X in copies)
+    del copies
+    gc.collect()
+    assert ctx.is_n_projective(_copy_module(P))
+    assert _entries(ctx.memo, "nproj") == 1 and len(built) == 1
+    assert ctx.is_gproj(_copy_module(P)) and ctx.is_gproj(_copy_module(P))
+    assert _entries(ctx.memo, "gproj") == 1
+    assert not any(ctx.is_n_projective(S) for S in simples(ctx.algebra))
+    assert _entries(ctx.memo, "nproj") == 2 and len(built) == 2
+
+
+def test_same_dim_other_action_gets_own_nproj_entry():
+    # dual numbers: A and S + S are both 2-dimensional, only A is projective
+    ctx = FrobeniusContext(dual_numbers(GF(2)))
+    A = ctx.algebra
+    SS, _, _ = direct_sum([simples(A)[0], simples(A)[0]])
+    P = A.regular_module()
+    assert SS.dim == P.dim == 2 and SS.key != P.key
+    assert ctx.is_n_projective(P) and not ctx.is_n_projective(SS)
+    assert ctx.is_gproj(P) and ctx.is_gproj(SS)
+    assert _entries(ctx.memo, "nproj") == 2
+    assert _entries(ctx.memo, "gproj") == 2
+
+
+def test_repeated_criterion_7_adds_no_structure_entries():
+    # the structure-keyed kinds stop growing once every structure is seen;
+    # an identity key would add an entry for every fresh cokernel
+    from stablext import suites
+    fx = suites._Fixtures()
+    ctxs = [ctx for _, ctx, _ in fx]
+
+    def counts():
+        resolvers = {c.resolver for c in ctxs} | {
+            c.resolver._op for c in ctxs if c.resolver._op is not None}
+        return (sum(_entries(c.memo, "nproj") for c in ctxs),
+                sum(_entries(R._memo, "hom_mats") for R in resolvers))
+
+    seen = []
+    for r in range(3):
+        passed, detail = suites.criterion_7(fx, random.Random(7 + r))
+        assert passed, detail
+        seen.append(counts())
+    (nproj0, homs0), _, (nproj2, homs2) = seen
+    assert 0 < nproj0 and nproj2 <= nproj0 + 25
+    assert 0 < homs0 == homs2

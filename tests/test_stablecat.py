@@ -389,18 +389,25 @@ def test_normalization_additive(t2_ctx):
 
 # -- threads sharing a context ----------------------------------------------
 
-@pytest.mark.parametrize("which", ["stable_hom", "p_subspace", "unit_up"])
-def test_concurrent_context_caches_build_once(which):
+@pytest.mark.parametrize("which",
+                         ["stable_hom", "p_subspace", "unit_up", "nproj"])
+def test_concurrent_context_caches_build_once(which, monkeypatch):
     # a context-level cache must hand every thread the one object it built:
-    # stable morphisms only add within the identical hom-space object
+    # stable morphisms only add within the identical hom-space object; a
+    # structure-keyed flag is built once for equal, distinct modules
     import sys
     import threading
     A = t2_dual_numbers(GF(2))
     ctx = FrobeniusContext(A)
     S = simples(A)[0]
+    builds = []
+    proj_dim = ctx.proj_dim
+    monkeypatch.setattr(ctx, "proj_dim",
+                        lambda M, bound=None: builds.append(M) or proj_dim(M, bound))
     call = {"stable_hom": lambda: stable_hom(ctx, S, S),
             "p_subspace": lambda: p_subspace(ctx, S, ctx.syz(S)),
-            "unit_up": lambda: ctx.unit_up(S, ctx.n)}[which]
+            "unit_up": lambda: ctx.unit_up(S, ctx.n),
+            "nproj": lambda: ctx.is_n_projective(simples(A)[0])}[which]
     got = []
     errors = []
 
@@ -427,3 +434,6 @@ def test_concurrent_context_caches_build_once(which):
     if which == "stable_hom":
         for sp in got:
             assert (got[0].zero() + sp.zero()).is_zero()
+    if which == "nproj":
+        assert sum(1 for key in ctx.memo._store if key[0] == "nproj") == 1
+        assert len(builds) == 1
