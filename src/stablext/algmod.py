@@ -561,16 +561,23 @@ def algebra_from_table(field: Field, labels, products, unit, idempotents,
 # ----------------------------------------------------------------------
 
 class Module:
-    """A finite-dimensional left module: one action matrix per basis element."""
+    """A finite-dimensional left module: one action matrix per basis element.
+
+    ``action`` is a tuple of read-only matrices, so the structure, and with
+    it :attr:`key`, never changes after construction.
+    """
 
     def __init__(self, algebra: Algebra, dim: int, action, name: str = "",
                  _skip_checks: bool = False):
         self.algebra = algebra
         self.dim = dim
-        self.action = list(action)
+        self.action = tuple(action)
         self.name = name
+        self._key = None
         if not _skip_checks:
             self._validate()
+        for m in self.action:
+            m.a.setflags(write=False)
 
     def _validate(self):
         A, F = self.algebra, self.algebra.field
@@ -597,22 +604,19 @@ class Module:
     def __eq__(self, other):
         if not isinstance(other, Module):
             return NotImplemented
-        return (self.algebra is other.algebra and self.dim == other.dim
-                and all(a == b for a, b in zip(self.action, other.action)))
+        return self.algebra is other.algebra and self.key == other.key
 
     def __hash__(self):
         return id(self)
 
     @property
     def key(self):
-        """(dim, action entries): equal exactly when the structures over one
-        algebra are equal; the name is ignored.  Built on each call, since
-        ``action`` is a plain list."""
-        if self.algebra.field.is_prime_field:
-            return self.dim, b"".join(m.a.astype(np.int64, copy=False).tobytes()
-                                      for m in self.action)
-        # values, never the bytes of an object array: those are addresses
-        return self.dim, tuple(x for m in self.action for x in m.a.flat)
+        """(dim, action entries as bytes): equal exactly when the structures
+        over one algebra are equal; the name is ignored.  Computed once:
+        the action is read-only.  See :meth:`Matrix.entry_bytes`."""
+        if self._key is None:
+            self._key = self.dim, b";".join(m.entry_bytes() for m in self.action)
+        return self._key
 
     def __repr__(self):
         return f"Module({self.name or '?'}, dim={self.dim})"

@@ -12,12 +12,13 @@ result is converted back to int64 residues; no result is ever a float.
 Pivoting is leftmost-column-first, topmost-row-first, so every basis
 produced anywhere in the package is reproducible across runs.
 
-Elimination picks one of three kernels by field and size: GF(2) matrices
-of more than 16 cells are packed into one Python int per row and reduced
-by XOR (Albrecht, Bard, Hart, ACM TOMS 37(1), 2010); other matrices of at
-most 256 cells are reduced on Python lists; the rest column by column in
-numpy.  The reduced row echelon form of a matrix is unique, so all three
-return the same R and the same pivots.
+Elimination picks one of three kernels by field, size and nonzero count:
+GF(2) matrices of more than 16 cells are packed into one Python int per
+row and reduced by XOR (Albrecht, Bard, Hart, ACM TOMS 37(1), 2010); other
+matrices of at most 256 cells are reduced on Python lists, over primes
+above 7 only when sparse enough; the rest column by column in numpy.
+The reduced row echelon form of a matrix is unique, so all three return
+the same R and the same pivots.
 """
 
 from __future__ import annotations
@@ -194,6 +195,16 @@ class Matrix:
     def is_zero(self) -> bool:
         return self.a.size == 0 or bool((self.a == self.field.of(0)).all())
 
+    def entry_bytes(self) -> bytes:
+        """The entries in row-major order as bytes, equal exactly when the
+        entries are: int64 residues over F_p; over Q the normalized
+        numerator/denominator pairs as text (an object array's own bytes
+        are the addresses of its Fractions, never used)."""
+        if self.field.is_prime_field:
+            return self.a.astype(np.int64, copy=False).tobytes()
+        return ",".join(["%d/%d" % (x.numerator, x.denominator)
+                         for x in self.a.flat]).encode()
+
     def copy_array(self) -> np.ndarray:
         return self.a.copy()
 
@@ -329,13 +340,16 @@ def combine(coeffs: Matrix, mats, rows: int, cols: int) -> Matrix:
 # Elimination primitives
 # ----------------------------------------------------------------------
 
-# Regime bounds, in cells (rows x columns), from timing the kernels:
-# over GF(2) packing pays for its fixed cost above 16 cells; elsewhere
-# Python lists beat numpy's per-call cost up to 256 cells on the mostly
-# sparse matrices the package reduces (on dense 16 x 16 matrices over a
-# large prime numpy is already faster).
+# Regime bounds, from timing the kernels: over GF(2) packing pays for its
+# fixed cost above 16 cells; elsewhere Python lists beat numpy's per-pivot
+# cost up to 256 cells (rows x columns) over Q and F_p, p <= 7.  Over larger
+# primes fill-in, and above 2^15 residue products of two 30-bit digits,
+# make each list update dearer, so there the input's nonzero entries bound
+# the list kernel too: 144 of them below 2^15, 80 above.
 _GF2_LIST_MAX_CELLS = 16
 _LIST_MAX_CELLS = 256
+_LIST_MAX_NONZEROS_MID = 144
+_LIST_MAX_NONZEROS_LARGE = 80
 
 
 def _rref_array(field: Field, a: np.ndarray):
@@ -347,7 +361,11 @@ def _rref_array(field: Field, a: np.ndarray):
     if field.p == 2 and cells > _GF2_LIST_MAX_CELLS:
         return _rref_gf2(a)
     if cells <= _LIST_MAX_CELLS:
-        return _rref_list(field, a)
+        p = field.p
+        bound = (_LIST_MAX_CELLS if p is None or p <= 7 else
+                 _LIST_MAX_NONZEROS_MID if p < 2**15 else _LIST_MAX_NONZEROS_LARGE)
+        if cells <= bound or np.count_nonzero(a) <= bound:
+            return _rref_list(field, a)
     return _rref_numpy(field, a)
 
 

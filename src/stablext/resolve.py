@@ -14,10 +14,13 @@ by one comparison-theorem step, :meth:`Resolver.comparison_lift`.
 
 Every cache in the package is a :class:`Memo`: one per :class:`Resolver`
 (resolutions, coresolutions via the opposite algebra, duals, hom bases,
-Ext spaces, chain lifts) and one per ``FrobeniusContext``.  All of them,
-and the in-place growth of resolutions and chain lifts, are serialized by
-one lock shared by a resolver, its opposite and their contexts; reads of
-cached data are lock-free, and each entry is built once.
+Ext spaces, chain lifts) and one per ``FrobeniusContext``.  Each keys a
+module or map by its structure and anything else by identity, so equal
+modules built as distinct objects share every entry; only a hom basis
+also keys the identity of its two modules.  All of them, and the in-place
+growth of resolutions and chain lifts, are serialized by one lock shared
+by a resolver, its opposite and their contexts; reads of cached data are
+lock-free, and each entry is built once.
 """
 
 from __future__ import annotations
@@ -216,21 +219,31 @@ class Coresolution:
         return Conflation(mods, maps, _skip_checks=True)
 
 
+def _memo_key(x):
+    """A module or map by its structure over its algebra (a map's matrix is
+    read on each call), anything else by identity."""
+    if isinstance(x, Module):
+        return id(x.algebra), x.key
+    if isinstance(x, ModuleMap):
+        return (id(x.source.algebra), x.source.key, x.target.key,
+                x.matrix.entry_bytes())
+    return id(x)
+
+
 class Memo:
-    """A cache keyed by a kind tag, ``id()`` of some objects and plain
-    parameters.
+    """A cache keyed by a kind tag, some objects and plain parameters.
 
-    Each entry is ``(value, *objects)``: it keeps the keyed objects alive,
-    so their ids stay valid, and falsy values are cached like any other.
-    A hit is a lock-free read; a miss is checked again and built under
-    ``lock``, so every thread gets the one object built for a key.
-
-    Two keyings use it.  A value that holds modules or maps is keyed by
-    identity: its objects are the ``objects`` and stay pinned.  A value
-    that holds no module (the ``nproj`` and ``gproj`` flags, the
-    ``hom_mats`` matrices) is keyed by structure: ``objects`` is just the
-    algebra and the parameters carry :attr:`Module.key`, so equal modules
-    built as distinct objects share one entry and none is kept alive.
+    One rule keys the objects: a :class:`Module` or :class:`ModuleMap` by
+    its structure (its algebra's identity, :attr:`Module.key` and a map's
+    matrix entries), anything else by ``id()``.  So equal modules and maps
+    built as distinct objects share one entry, built from the first of
+    them.  Each entry is ``(value, *objects)``: it keeps that first call's
+    objects alive, so the ids in the key stay valid, and falsy values are
+    cached like any other.  A hit is a lock-free read; a miss is checked
+    again and built under ``lock``, so every thread gets the one object
+    built for a key.  The one exception, :meth:`Resolver.hom_basis`, also
+    passes the ids of its two modules, so its maps run between the very
+    objects asked for; its matrices are shared by structure (``hom_mats``).
     """
 
     def __init__(self, lock):
@@ -238,7 +251,7 @@ class Memo:
         self._store = {}
 
     def __call__(self, kind: str, objects: tuple, build, *params):
-        key = (kind, *map(id, objects), *params)
+        key = (kind, *map(_memo_key, objects), *params)
         hit = self._store.get(key)
         if hit is None:
             with self._lock:
@@ -308,7 +321,8 @@ class Resolver:
         return self.coresolution(M).cosyzygy(k)
 
     def hom_basis(self, M: Module, N: Module):
-        return self._memo("hom", (M, N), lambda: _HomBasis(self, M, N))
+        return self._memo("hom", (M, N), lambda: _HomBasis(self, M, N),
+                          id(M), id(N))
 
     def ext(self, M: Module, N: Module, n: int) -> "ExtSpace":
         return self._memo("ext", (M, N), lambda: ExtSpace(self, M, N, n), n)
@@ -383,9 +397,8 @@ class _HomBasis:
     def __init__(self, resolver: Resolver, M: Module, N: Module):
         self.source = M
         self.target = N
-        mats, self.flat = resolver._memo("hom_mats", (M.algebra,),
-                                         lambda: _hom_matrices(M, N),
-                                         M.key, N.key)
+        mats, self.flat = resolver._memo("hom_mats", (M, N),
+                                         lambda: _hom_matrices(M, N))
         self.maps = [ModuleMap(M, N, m, _skip_checks=True) for m in mats]
 
     @property

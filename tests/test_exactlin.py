@@ -486,6 +486,39 @@ def test_every_rref_regime_matches_reference(field, shape, kind, seed):
         assert b.dtype == a.dtype and b.tolist() == want_R
 
 
+@pytest.mark.parametrize("p,shape,nonzeros,kernel", [
+    (7, (16, 16), 256, "_rref_list"),
+    (251, (12, 12), 144, "_rref_list"),
+    (251, (16, 16), 144, "_rref_list"),
+    (251, (16, 16), 145, "_rref_numpy"),
+    (65521, (16, 16), 144, "_rref_numpy"),
+    (65521, (16, 16), 80, "_rref_list"),
+    (2**31 - 1, (16, 16), 80, "_rref_list"),
+    (2**31 - 1, (8, 32), 81, "_rref_numpy"),
+    (2**31 - 1, (16, 17), 40, "_rref_numpy"),
+], ids=lambda v: str(v))
+def test_list_regime_counts_nonzeros_over_larger_primes(p, shape, nonzeros,
+                                                        kernel, monkeypatch):
+    # either side of the nonzero bound: the kernel the input picks, and the
+    # same R and pivots from every kernel
+    field = GF(p)
+    rng = np.random.default_rng(p + nonzeros)
+    a = field.zeros(*shape)
+    cells = rng.permutation(shape[0] * shape[1])[:nonzeros]
+    a.flat[cells] = rng.integers(1, p, size=nonzeros)
+    want_R, want_pivots = _reference_rref(field, a.tolist(), shape[1])
+    picked = []
+    for name in ("_rref_list", "_rref_numpy"):
+        run = getattr(exactlin, name)
+        monkeypatch.setattr(exactlin, name,
+                            lambda f, b, run=run, name=name:
+                            picked.append(name) or run(f, b))
+    for k in (exactlin._rref_array, exactlin._rref_list, exactlin._rref_numpy):
+        b = a.copy()
+        assert k(field, b) == want_pivots and b.tolist() == want_R
+    assert picked[0] == kernel
+
+
 # -- the small-product path -----------------------------------------------
 
 @pytest.mark.parametrize("p", [2, 2**31 - 1])

@@ -390,37 +390,52 @@ def test_normalization_additive(t2_ctx):
 # -- threads sharing a context ----------------------------------------------
 
 @pytest.mark.parametrize("which",
-                         ["stable_hom", "p_subspace", "unit_up", "nproj"])
+                         ["stable_hom", "p_subspace", "unit_up", "nproj",
+                          "resolution", "ext", "pmod", "lift"])
 def test_concurrent_context_caches_build_once(which, monkeypatch):
     # a context-level cache must hand every thread the one object it built:
     # stable morphisms only add within the identical hom-space object; a
-    # structure-keyed flag is built once for equal, distinct modules
+    # structure-keyed entry is built once for equal, distinct modules (the
+    # last four cases: each thread asks with its own copy of S)
     import sys
     import threading
+    from stablext.algmod import Module
     A = t2_dual_numbers(GF(2))
     ctx = FrobeniusContext(A)
+    R = ctx.resolver
     S = simples(A)[0]
+    copies = [Module(A, S.dim, S.action, name=f"S{i}") for i in range(8)]
     builds = []
     proj_dim = ctx.proj_dim
     monkeypatch.setattr(ctx, "proj_dim",
                         lambda M, bound=None: builds.append(M) or proj_dim(M, bound))
-    call = {"stable_hom": lambda: stable_hom(ctx, S, S),
-            "p_subspace": lambda: p_subspace(ctx, S, ctx.syz(S)),
-            "unit_up": lambda: ctx.unit_up(S, ctx.n),
-            "nproj": lambda: ctx.is_n_projective(simples(A)[0])}[which]
+    call = {"stable_hom": lambda X: stable_hom(ctx, S, S),
+            "p_subspace": lambda X: p_subspace(ctx, S, ctx.syz(S)),
+            "unit_up": lambda X: ctx.unit_up(S, ctx.n),
+            "nproj": lambda X: ctx.is_n_projective(simples(A)[0]),
+            "resolution": lambda X: R.resolution(X).extend(3),
+            "ext": lambda X: R.ext(X, X, ctx.n),
+            "pmod": lambda X: p_subspace(ctx, X, ctx.syz(X)),
+            "lift": lambda X: R.lift(identity_map(X), 3)}[which]
+    memo = R._memo if which in ("resolution", "ext", "lift") else ctx.memo
+
+    def entries():
+        return sum(1 for key in memo._store if key[0] == which)
+
+    before = entries()
     got = []
     errors = []
 
-    def work():
+    def work(X):
         try:
-            got.append(call())
+            got.append(call(X))
         except Exception as e:  # noqa: BLE001
             errors.append(e)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work) for _ in range(8)]
+        threads = [threading.Thread(target=work, args=(X,)) for X in copies]
         for t in threads:
             t.start()
         for t in threads:
@@ -434,6 +449,12 @@ def test_concurrent_context_caches_build_once(which, monkeypatch):
     if which == "stable_hom":
         for sp in got:
             assert (got[0].zero() + sp.zero()).is_zero()
+    if which in ("resolution", "ext", "pmod", "lift"):
+        assert entries() == before + 1
     if which == "nproj":
-        assert sum(1 for key in ctx.memo._store if key[0] == "nproj") == 1
+        assert entries() == 1
         assert len(builds) == 1
+    if which == "lift":
+        res = R.resolution(S)
+        assert len(got[0]) == 4
+        assert all(fk.source is res.term(k) for k, fk in enumerate(got[0]))
