@@ -564,7 +564,10 @@ class Module:
     """A finite-dimensional left module: one action matrix per basis element.
 
     ``action`` is a tuple of read-only matrices, so the structure, and with
-    it :attr:`key`, never changes after construction.
+    it :attr:`key`, never changes after construction.  The matrices passed
+    in are frozen in place, not copied: a caller that still holds one can
+    read it but no longer write to it.  Equality and hashing both follow
+    the structure over one algebra, so equal modules are one set element.
     """
 
     def __init__(self, algebra: Algebra, dim: int, action, name: str = "",
@@ -607,7 +610,7 @@ class Module:
         return self.algebra is other.algebra and self.key == other.key
 
     def __hash__(self):
-        return id(self)
+        return hash((id(self.algebra), self.key))
 
     @property
     def key(self):

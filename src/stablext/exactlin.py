@@ -16,7 +16,8 @@ Elimination picks one of three kernels by field, size and nonzero count:
 GF(2) matrices of more than 16 cells are packed into one Python int per
 row and reduced by XOR (Albrecht, Bard, Hart, ACM TOMS 37(1), 2010); other
 matrices of at most 256 cells are reduced on Python lists, over primes
-above 7 only when sparse enough; the rest column by column in numpy.
+above 7 only when they have at most 64 nonzero entries; the rest column by
+column in numpy.
 The reduced row echelon form of a matrix is unique, so all three return
 the same R and the same pivots.
 """
@@ -343,13 +344,13 @@ def combine(coeffs: Matrix, mats, rows: int, cols: int) -> Matrix:
 # Regime bounds, from timing the kernels: over GF(2) packing pays for its
 # fixed cost above 16 cells; elsewhere Python lists beat numpy's per-pivot
 # cost up to 256 cells (rows x columns) over Q and F_p, p <= 7.  Over larger
-# primes fill-in, and above 2^15 residue products of two 30-bit digits,
-# make each list update dearer, so there the input's nonzero entries bound
-# the list kernel too: 144 of them below 2^15, 80 above.
+# primes fill-in and wider residue products make each list update dearer,
+# so there the input's nonzero entries bound the list kernel too: on 16 x 16
+# matrices lists still win at 64 nonzeros over GF(11) to GF(2^31 - 1), and
+# lose at 80 over GF(2^31 - 1).
 _GF2_LIST_MAX_CELLS = 16
 _LIST_MAX_CELLS = 256
-_LIST_MAX_NONZEROS_MID = 144
-_LIST_MAX_NONZEROS_LARGE = 80
+_LIST_MAX_NONZEROS = 64
 
 
 def _rref_array(field: Field, a: np.ndarray):
@@ -361,10 +362,8 @@ def _rref_array(field: Field, a: np.ndarray):
     if field.p == 2 and cells > _GF2_LIST_MAX_CELLS:
         return _rref_gf2(a)
     if cells <= _LIST_MAX_CELLS:
-        p = field.p
-        bound = (_LIST_MAX_CELLS if p is None or p <= 7 else
-                 _LIST_MAX_NONZEROS_MID if p < 2**15 else _LIST_MAX_NONZEROS_LARGE)
-        if cells <= bound or np.count_nonzero(a) <= bound:
+        if (field.p is None or field.p <= 7 or cells <= _LIST_MAX_NONZEROS
+                or np.count_nonzero(a) <= _LIST_MAX_NONZEROS):
             return _rref_list(field, a)
     return _rref_numpy(field, a)
 

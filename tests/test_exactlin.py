@@ -488,13 +488,12 @@ def test_every_rref_regime_matches_reference(field, shape, kind, seed):
 
 @pytest.mark.parametrize("p,shape,nonzeros,kernel", [
     (7, (16, 16), 256, "_rref_list"),
-    (251, (12, 12), 144, "_rref_list"),
-    (251, (16, 16), 144, "_rref_list"),
-    (251, (16, 16), 145, "_rref_numpy"),
+    (11, (8, 8), 64, "_rref_list"),
+    (251, (16, 16), 64, "_rref_list"),
+    (251, (16, 16), 65, "_rref_numpy"),
     (65521, (16, 16), 144, "_rref_numpy"),
-    (65521, (16, 16), 80, "_rref_list"),
-    (2**31 - 1, (16, 16), 80, "_rref_list"),
-    (2**31 - 1, (8, 32), 81, "_rref_numpy"),
+    (2**31 - 1, (16, 16), 64, "_rref_list"),
+    (2**31 - 1, (8, 32), 65, "_rref_numpy"),
     (2**31 - 1, (16, 17), 40, "_rref_numpy"),
 ], ids=lambda v: str(v))
 def test_list_regime_counts_nonzeros_over_larger_primes(p, shape, nonzeros,

@@ -671,6 +671,19 @@ def test_module_action_is_read_only_and_key_computed_once(dn):
     m.a[0, 0] = 1
 
 
+@pytest.mark.parametrize("field", [GF(2), QQ], ids=["GF2", "QQ"])
+def test_equal_modules_hash_alike(field):
+    A = dual_numbers(field)
+    S = simples(A)[0]
+    C = Module(A, S.dim, [Matrix(field, m.copy_array()) for m in S.action])
+    assert C is not S and C == S and hash(C) == hash(S)
+    assert C in {S} and len({S, C}) == 1
+    # the same entries over another algebra are another module
+    B = dual_numbers(field)
+    D = Module(B, S.dim, [Matrix(field, m.copy_array()) for m in S.action])
+    assert D != S and len({S, D}) == 2
+
+
 def test_same_dim_other_action_gets_own_nproj_entry():
     # dual numbers: A and S + S are both 2-dimensional, only A is projective
     ctx = FrobeniusContext(dual_numbers(GF(2)))
