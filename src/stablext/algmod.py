@@ -3,8 +3,10 @@
 An :class:`Algebra` is given by a multiplication table on a fixed basis,
 together with a complete set of orthogonal primitive idempotents and a
 spanning set of its radical; every structural axiom is verified at
-construction time.  Algebras are built either from a bound quiver
-(:func:`algebra_from_quiver`) or from an explicit table
+construction time, and everything derived from the table (the opposite
+algebra, the regular module, the projectives) is built there too, so
+threads may share an algebra.  Algebras are built either from a bound
+quiver (:func:`algebra_from_quiver`) or from an explicit table
 (:func:`algebra_from_table`).
 
 Modules are representations: one action matrix per algebra basis element.
@@ -27,6 +29,7 @@ __all__ = [
     "AlgebraError", "ModuleError", "ConflationError",
     "QuiverPresentation", "Algebra", "Module", "ModuleMap", "Conflation",
     "algebra_from_quiver", "algebra_from_table", "column_space_basis",
+    "extending_columns",
     "hom_space", "hom_dim", "random_hom", "is_isomorphic",
     "indecomposable_summands",
     "identity_map", "zero_map",
@@ -118,57 +121,75 @@ class Algebra:
     ``table[i][j]`` holds the coordinates of basis_i * basis_j.  The
     idempotent list is complete, orthogonal and primitive (primitivity is
     forced by the split basic count dim A - dim J = r, checked below).
+
+    The constructor validates the table, then builds everything derived
+    from it once: the multiplication matrices, the opposite algebra (linked
+    both ways, so ``A.opposite().opposite() is A``), the generators, the
+    semisimple coefficients, the regular module and the indecomposable
+    projectives with their inclusions.  Nothing is filled in later, so
+    threads may share an algebra.
     """
 
     def __init__(self, field: Field, labels, table, unit, idempotents,
-                 radical_span: Matrix, name: str = "", _skip_checks: bool = False):
+                 radical_span: Matrix, name: str = "",
+                 _opposite: "Algebra | None" = None):
         self.field = field
         self.labels = list(labels)
-        self.dim = len(self.labels)
+        self.dim = d = len(self.labels)
         self.name = name
         self.table = table
-        self.unit = unit
+        self.unit = unit if isinstance(unit, Matrix) else Matrix.column(field, unit)
         self.idempotents = [Matrix.column(field, list(e)) for e in idempotents]
-        self.radical_span = radical_span
-        self._left = None
-        self._right = None
-        self._op = None
-        self._gens = None
-        self._semisimple_coeffs = None
-        self._regular = None
-        self._projs = None
-        self._proj_incls = None
-        if not _skip_checks:
-            self._validate()
+        self.radical_span = J = radical_span
+        for i in range(d):
+            if len(table[i]) != d:
+                raise AlgebraError("multiplication table is not square")
+            for j in range(d):
+                if table[i][j].shape != (d,):
+                    raise AlgebraError(f"product coordinates ({i},{j}) have wrong length")
+        self._left = self._mult_matrices(lambda i, j: table[i][j])
+        self._right = self._mult_matrices(lambda i, j: table[j][i])
+        self._validate()
+        # the opposite gets this algebra as its own opposite, so it does not
+        # build another
+        self._op = _opposite or Algebra(
+            field, self.labels, [[table[j][i] for j in range(d)] for i in range(d)],
+            self.unit, [e.a[:, 0] for e in self.idempotents], J,
+            name=f"op({name})", _opposite=self)
+        # generators: the idempotents and the radical columns that extend a
+        # basis of J^2
+        cols = [Matrix(field, J.a[:, [k]]) for k in range(J.cols)]
+        J2 = Matrix.from_columns(field, d, [(self.mult_by(x) * J).a for x in cols])
+        self._gens = self.idempotents + [cols[k] for k in extending_columns(J2, J)]
+        # the change of basis through the idempotents and a basis of J
+        B = Matrix.from_columns(field, d, [e.a for e in self.idempotents]
+                                + [column_space_basis(J).a])
+        X = solve(B, Matrix.identity(field, d))
+        if X is None or B.cols != d:
+            raise AlgebraError("idempotents + radical do not form a basis")
+        self._semisimple_coeffs = Matrix(field, X.a[:self.n_idempotents, :])
+        self._regular = reg = Module(self, d, self._left, name=name or "A")
+        # P_i = A e_i, the image of a |-> a e_i, with its inclusion into A
+        self._projs, self._proj_incls = [], []
+        for i, e in enumerate(self.idempotents):
+            P, incl, _ = image_module(ModuleMap(reg, reg, self.mult_by(e, "right")),
+                                      name=f"P{i + 1}")
+            self._projs.append(P)
+            self._proj_incls.append(incl.matrix)
 
     # -- structure access ------------------------------------------------
 
     def left_mult(self):
         """Left multiplication matrices L_i with columns basis_i * basis_j."""
-        if self._left is None:
-            mats = []
-            for i in range(self.dim):
-                a = self.field.zeros(self.dim, self.dim)
-                for j in range(self.dim):
-                    a[:, j] = self.table[i][j]
-                mats.append(Matrix(self.field, a))
-            self._left = mats
         return self._left
 
     def right_mult(self):
-        if self._right is None:
-            mats = []
-            for i in range(self.dim):
-                a = self.field.zeros(self.dim, self.dim)
-                for j in range(self.dim):
-                    a[:, j] = self.table[j][i]
-                mats.append(Matrix(self.field, a))
-            self._right = mats
+        """Right multiplication matrices R_i with columns basis_j * basis_i."""
         return self._right
 
     def mult_by(self, coords: Matrix, side="left") -> Matrix:
         """Multiplication by the element with the given coordinate column."""
-        mats = self.left_mult() if side == "left" else self.right_mult()
+        mats = self._left if side == "left" else self._right
         return combine(coords, mats, self.dim, self.dim)
 
     @property
@@ -181,72 +202,43 @@ class Algebra:
         The subalgebra they generate is all of A, so a matrix intertwining
         the generator actions intertwines every basis element.
         """
-        if self._gens is None:
-            J = self.radical_span
-            cols = [Matrix(self.field, J.a[:, [k]]) for k in range(J.cols)]
-            J2 = Matrix.from_columns(self.field, self.dim,
-                                     [(self.mult_by(x, "left") * J).a for x in cols])
-            # keep the radical columns that extend a basis of J^2: with
-            # leftmost pivoting, the pivot columns of [J^2 | J] past J^2
-            _, pivots = rref(J2.hstack(J))
-            chosen = [cols[k - J2.cols] for k in pivots if k >= J2.cols]
-            self._gens = list(self.idempotents) + chosen
         return self._gens
 
     def opposite(self) -> "Algebra":
         """The opposite algebra; an involution (A.opposite().opposite() is A)."""
-        if self._op is None:
-            table = [[self.table[j][i] for j in range(self.dim)]
-                     for i in range(self.dim)]
-            op = Algebra(self.field, self.labels, table, self.unit,
-                         [e.a[:, 0] for e in self.idempotents],
-                         self.radical_span, name=f"op({self.name})",
-                         _skip_checks=True)
-            op._validate()
-            op._op = self
-            self._op = op
         return self._op
 
     def semisimple_coefficients(self) -> Matrix:
         """Row i gives the coefficient of idempotent e_i in each basis
         element modulo the radical (the change of basis through e's + J)."""
-        if self._semisimple_coeffs is None:
-            Jb = column_space_basis(self.radical_span)
-            B = Matrix.from_columns(self.field, self.dim,
-                                    [e.a for e in self.idempotents] + [Jb.a])
-            X = solve(B, Matrix.identity(self.field, self.dim))
-            if X is None or B.cols != self.dim:
-                raise AlgebraError("idempotents + radical do not form a basis")
-            self._semisimple_coeffs = Matrix(self.field, X.a[:self.n_idempotents, :])
         return self._semisimple_coeffs
 
     def regular_module(self) -> "Module":
-        """The regular left module, built and validated once per algebra."""
-        if self._regular is None:
-            self._regular = Module(self, self.dim, self.left_mult(),
-                                   name=f"{self.name or 'A'}")
+        """The regular left module."""
         return self._regular
+
+    def _mult_matrices(self, entry):
+        """One matrix per basis element i, with column j = entry(i, j)."""
+        mats = []
+        for i in range(self.dim):
+            a = self.field.zeros(self.dim, self.dim)
+            for j in range(self.dim):
+                a[:, j] = entry(i, j)
+            mats.append(Matrix(self.field, a))
+        return mats
 
     # -- validation -------------------------------------------------------
 
     def _validate(self):
         F, d = self.field, self.dim
-        for i in range(d):
-            if len(self.table[i]) != d:
-                raise AlgebraError("multiplication table is not square")
-            for j in range(d):
-                if self.table[i][j].shape != (d,):
-                    raise AlgebraError(f"product coordinates ({i},{j}) have wrong length")
-        L = self.left_mult()
+        L = self._left
         # associativity: L is a homomorphism, L_i L_j = sum_k c^k_{ij} L_k
         for i in range(d):
             for j in range(d):
                 rhs = self.mult_by(Matrix(F, self.table[i][j].reshape(d, 1)))
                 if L[i] * L[j] != rhs:
                     raise AlgebraError(f"associativity fails at product ({i},{j})")
-        u = Matrix(F, np.array(self.unit).reshape(d, 1)) if not isinstance(self.unit, Matrix) \
-            else self.unit
-        self.unit = u
+        u = self.unit
         Lu = self.mult_by(u, "left")
         Ru = self.mult_by(u, "right")
         if Lu != Matrix.identity(F, d) or Ru != Matrix.identity(F, d):
@@ -267,7 +259,7 @@ class Algebra:
         J = self.radical_span
         rj = rank(J)
         for i in range(d):
-            if rank(J.hstack(L[i] * J)) != rj or rank(J.hstack(self.right_mult()[i] * J)) != rj:
+            if rank(J.hstack(L[i] * J)) != rj or rank(J.hstack(self._right[i] * J)) != rj:
                 raise AlgebraError("radical span is not a two-sided ideal")
         power = column_space_basis(J)
         for _ in range(d + 1):
@@ -299,6 +291,14 @@ def column_space_basis(A: Matrix) -> Matrix:
     """The pivot columns of A: the canonical basis of its column space."""
     _, pivots = rref(A)
     return A.take_columns(pivots)
+
+
+def extending_columns(S: Matrix, C: Matrix):
+    """Indices of the columns of C that extend a basis of the column space
+    of S, each outside the span of S and of the columns kept before it:
+    with leftmost pivoting, the pivot columns of [S | C] past S."""
+    _, pivots = rref(S.hstack(C))
+    return [k - S.cols for k in pivots if k >= S.cols]
 
 
 # ----------------------------------------------------------------------
@@ -615,8 +615,10 @@ class Module:
     @property
     def key(self):
         """(dim, action entries as bytes): equal exactly when the structures
-        over one algebra are equal; the name is ignored.  Computed once:
-        the action is read-only.  See :meth:`Matrix.entry_bytes`."""
+        over one algebra are equal; the name is ignored.  See
+        :meth:`Matrix.entry_bytes`.  Computed on first use and kept, since
+        the action is read-only: most modules never reach a cache, and over
+        Q the key formats every entry."""
         if self._key is None:
             self._key = self.dim, b";".join(m.entry_bytes() for m in self.action)
         return self._key
@@ -919,19 +921,10 @@ def simples(A: Algebra):
 def projective_indecs(A: Algebra):
     """P_i = A e_i inside the regular module.
 
-    The modules are built once per algebra, and their inclusion matrices
-    into A are kept for ``projective_cover``; each call returns a new list
-    of the same objects.
+    The modules are built once, by the algebra's constructor, and their
+    inclusion matrices into A are kept for ``projective_cover``; each call
+    returns a new list of the same objects.
     """
-    if A._projs is None:
-        reg = A.regular_module()
-        projs, incls = [], []
-        for i, e in enumerate(A.idempotents):
-            Re = A.mult_by(e, "right")   # a |-> a e_i, a left-module map
-            P, incl, _ = image_module(ModuleMap(reg, reg, Re), name=f"P{i + 1}")
-            projs.append(P)
-            incls.append(incl.matrix)
-        A._projs, A._proj_incls = projs, incls
     return list(A._projs)
 
 
@@ -981,7 +974,7 @@ def projective_cover(M: Module):
         return Z, ModuleMap(Z, M, Matrix.zeros(F, 0, 0), _skip_checks=True)
     where = f"projective cover of {M.name or '?'} (dim {M.dim})"
     T, q, _ = top(M)
-    projs = projective_indecs(A)
+    projs, incls = A._projs, A._proj_incls
     summands = []
     blocks = []
     for i, e in enumerate(A.idempotents):
@@ -995,7 +988,7 @@ def projective_cover(M: Module):
         W = M.act(e) * V
         # P_i lives inside A: its basis vectors are algebra elements; basis
         # vector k of the copy of P_i for generator t maps to p_k * W[:, t]
-        incl = A._proj_incls[i]
+        incl = incls[i]
         images = np.stack([(M.act(Matrix(F, incl.a[:, [k]])) * W).a
                            for k in range(incl.cols)], axis=2)
         summands.extend([projs[i]] * Vi.cols)

@@ -16,10 +16,10 @@ from itertools import product
 
 import numpy as np
 
-from .exactlin import Matrix, rref
+from .exactlin import Matrix
 from .algmod import (
-    Algebra, Conflation, Module, ModuleMap, cokernel_module, injective_envelope,
-    projective_indecs, simples,
+    Algebra, Conflation, Module, ModuleMap, cokernel_module, extending_columns,
+    injective_envelope, projective_indecs, simples,
 )
 from .resolve import ExtElement, Memo, Resolver, class_from_sequence
 
@@ -107,7 +107,8 @@ class FrobeniusContext:
 
     def __init__(self, algebra: Algebra, bound: int | None = None,
                  detection_bound: int = 8, _resolver: Resolver | None = None,
-                 _known_n: int | None = None):
+                 _known_n: int | None = None,
+                 _opposite: "FrobeniusContext | None" = None):
         self.algebra = algebra
         self.resolver = _resolver or Resolver(algebra,
                                               bound=max(detection_bound + 2,
@@ -125,16 +126,12 @@ class FrobeniusContext:
         self.resolver.bound = max(self.resolver.bound, self.bound)
         self.resolver.opposite().bound = self.resolver.bound
         self.memo = Memo(self.resolver._lock)
-        self._opposite = None
+        self._opposite = _opposite or FrobeniusContext(
+            algebra.opposite(), bound=self.bound,
+            _resolver=self.resolver.opposite(), _known_n=n, _opposite=self)
 
     def opposite(self) -> "FrobeniusContext":
         """The mirror context over the opposite algebra (same parameter)."""
-        if self._opposite is None:
-            op = FrobeniusContext(self.algebra.opposite(), bound=self.bound,
-                                  _resolver=self.resolver.opposite(),
-                                  _known_n=self.n)
-            op._opposite = self
-            self._opposite = op
         return self._opposite
 
     def envelope(self, M: Module):
@@ -261,12 +258,9 @@ class FrobeniusContext:
                 m = ModuleMap(X, reg, Rj * h.matrix, _skip_checks=True)
                 rad_cols.append(hb.coords(m).a)
         # keep each basis map outside the span of J.Hom(X, A) and the maps
-        # kept before it: with leftmost pivoting, the pivot columns of
-        # [J.Hom(X, A) | I] past J.Hom(X, A)
-        r = len(rad_cols)
-        I = Matrix.identity(F, hb.dim)
-        _, pivots = rref(Matrix.from_columns(F, hb.dim, rad_cols + [I.a]))
-        chosen = [hb.maps[t - r] for t in pivots if t >= r]
+        # kept before it
+        chosen = [hb.maps[t] for t in extending_columns(
+            Matrix.from_columns(F, hb.dim, rad_cols), Matrix.identity(F, hb.dim))]
         if not chosen:
             return None
         stacked = Matrix(F, np.vstack([h.matrix.a for h in chosen]))

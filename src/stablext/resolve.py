@@ -12,15 +12,21 @@ Every chain map (the lift of a morphism to resolutions, the class of an
 explicit sequence, the connecting maps and the syzygy shift) is computed
 by one comparison-theorem step, :meth:`Resolver.comparison_lift`.
 
-Every cache in the package is a :class:`Memo`: one per :class:`Resolver`
-(resolutions, coresolutions via the opposite algebra, duals, hom bases,
-Ext spaces, chain lifts) and one per ``FrobeniusContext``.  Each keys a
-module or map by its structure and anything else by identity, so equal
-modules built as distinct objects share every entry; only a hom basis
-also keys the identity of its two modules.  All of them, and the in-place
-growth of resolutions and chain lifts, are serialized by one lock shared
-by a resolver, its opposite and their contexts; reads of cached data are
-lock-free, and each entry is built once.
+Structure that every query needs is built by constructors, once: an
+:class:`~stablext.algmod.Algebra` builds its multiplication matrices,
+opposite algebra, generators, regular module and projectives, and a
+:class:`Resolver` or ``FrobeniusContext`` builds its opposite, linked both
+ways.  Every other cache in the package is a :class:`Memo`: one per
+resolver (resolutions, coresolutions via the opposite algebra, duals, hom
+bases, Ext spaces, chain lifts) and one per context.  Each keys a module
+or map by its structure and anything else by identity, so equal modules
+built as distinct objects share every entry; only a hom basis also keys
+the identity of its two modules.  All of them, and the in-place growth of
+resolutions and chain lifts, are serialized by one lock shared by a
+resolver, its opposite and their contexts; reads of cached data are
+lock-free, and each entry is built once.  Only :attr:`Module.key` and
+:meth:`Resolution.diff` are filled in on first use; their docstrings say
+why.
 """
 
 from __future__ import annotations
@@ -134,7 +140,12 @@ class Resolution:
         return zero_map(self.syzygy(k + 1), self.term(k))
 
     def diff(self, k: int) -> ModuleMap:
-        """d_k: P_k -> P_{k-1} (k >= 1), computed once."""
+        """d_k: P_k -> P_{k-1} (k >= 1), computed on first use and kept.
+
+        Not built by ``extend``: that would add one product per step to
+        every resolution, and the deep ones made only to bound a projective
+        dimension never read their differentials.
+        """
         d = self._diffs.get(k)
         if d is None:
             d = self.incl(k - 1) * self.cover(k)
@@ -264,24 +275,18 @@ class Memo:
 class Resolver:
     """Cache holder for one algebra: resolutions, homs, Ext spaces, lifts."""
 
-    def __init__(self, algebra: Algebra, bound: int = 12):
+    def __init__(self, algebra: Algebra, bound: int = 12,
+                 _opposite: "Resolver | None" = None):
         self.algebra = algebra
         self.bound = bound
-        self._lock = threading.RLock()
+        # one lock for both sides: a coresolution on one side resolves on
+        # the other, so two locks could be taken in either order
+        self._lock = _opposite._lock if _opposite else threading.RLock()
         self._memo = Memo(self._lock)
-        self._op = None
+        self._op = _opposite or Resolver(algebra.opposite(), bound, _opposite=self)
 
     def opposite(self) -> "Resolver":
-        if self._op is None:
-            with self._lock:
-                if self._op is None:
-                    op = Resolver(self.algebra.opposite(), self.bound)
-                    # one lock for both sides: a coresolution on one side resolves
-                    # on the other, so two locks could be taken in either order
-                    op._lock = self._lock
-                    op._memo = Memo(self._lock)
-                    op._op = self
-                    self._op = op
+        """The resolver over the opposite algebra, sharing this one's lock."""
         return self._op
 
     def dual(self, M: Module) -> Module:
@@ -502,7 +507,6 @@ class ExtElement:
         self.N = N
         self.n = n
         self.cocycle = cocycle
-        self._sequence = None
         if not _skip_checks:
             if n == 0:
                 if cocycle.source != M or cocycle.target != N:
@@ -534,9 +538,8 @@ class ExtElement:
                           -self.cocycle, _skip_checks=True)
 
     def sequence(self) -> Conflation:
-        if self._sequence is None:
-            self._sequence = sequence_from_element(self)
-        return self._sequence
+        """An explicit conflation in this class, built on each call."""
+        return sequence_from_element(self)
 
     def __repr__(self):
         return (f"ExtElement(deg {self.n}: {self.M.name or '?'} ~> "

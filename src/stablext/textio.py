@@ -62,7 +62,6 @@ class Workspace:
         self.algebra = algebra
         self.modules: dict[str, Module] = {}
         self.maps: dict[str, ModuleMap] = {}
-        self._ctx = None
 
     def add_module(self, name: str, M: Module):
         if name in self.modules or name in self.maps:
@@ -85,11 +84,10 @@ class Workspace:
         return self.maps[name]
 
     def context(self, bound=None, detection_bound: int = 8):
-        if self._ctx is None:
-            from .frobenius import FrobeniusContext
-            self._ctx = FrobeniusContext(self.algebra, bound=bound,
-                                         detection_bound=detection_bound)
-        return self._ctx
+        """A new Gorenstein context over the algebra, on each call."""
+        from .frobenius import FrobeniusContext
+        return FrobeniusContext(self.algebra, bound=bound,
+                                detection_bound=detection_bound)
 
     def check(self):
         """Re-run every structural invariant; constructors already enforce
@@ -176,15 +174,28 @@ def loads_workspace(text: str, length_bound: int = 12) -> Workspace:
     return ws
 
 
+def _section(lines, pos, what):
+    """The section that starts at ``pos`` and runs to its 'end'.
+
+    Returns its lines as (line number, tokens) pairs, the line number of
+    the 'end' (where errors about the section as a whole are reported) and
+    the position after it.
+    """
+    body = []
+    for k in range(pos, len(lines)):
+        lineno, line = lines[k]
+        toks = line.split()
+        if toks[0] == "end":
+            return body, lineno, k + 1
+        body.append((lineno, toks))
+    raise ParseError(lines[-1][0], f"{what} section not closed by 'end'")
+
+
 def _parse_quiver(field, lines, pos, length_bound):
     vertices, arrows, relations = [], [], []
     arrow_names = set()
-    while pos < len(lines):
-        lineno, line = lines[pos]
-        toks = line.split()
-        if toks[0] == "end":
-            pos += 1
-            break
+    body, end, pos = _section(lines, pos, "quiver")
+    for lineno, toks in body:
         if toks[0] == "vertex":
             vertices.extend(toks[1:])
         elif toks[0] == "arrow":
@@ -214,14 +225,11 @@ def _parse_quiver(field, lines, pos, length_bound):
             relations.append(terms)
         else:
             raise ParseError(lineno, f"unknown quiver directive {toks[0]!r}")
-        pos += 1
-    else:
-        raise ParseError(lines[-1][0], "quiver section not closed by 'end'")
     try:
         q = QuiverPresentation(field, vertices, arrows, relations)
         return pos, algebra_from_quiver(q, length_bound=length_bound)
     except AlgebraError as e:
-        raise ParseError(lineno, str(e)) from None
+        raise ParseError(end, str(e)) from None
 
 
 def _parse_table(field, lines, pos):
@@ -231,12 +239,8 @@ def _parse_table(field, lines, pos):
     idem = []
     products = {}
     radical = []
-    while pos < len(lines):
-        lineno, line = lines[pos]
-        toks = line.split()
-        if toks[0] == "end":
-            pos += 1
-            break
+    body, end, pos = _section(lines, pos, "algebra-table")
+    for lineno, toks in body:
         if toks[0] == "dim":
             dim = int(toks[1])
         elif toks[0] == "labels":
@@ -261,18 +265,15 @@ def _parse_table(field, lines, pos):
             radical.append(_coords(field, toks[1:], dim, lineno, "radical"))
         else:
             raise ParseError(lineno, f"unknown table directive {toks[0]!r}")
-        pos += 1
-    else:
-        raise ParseError(lines[-1][0], "algebra-table section not closed by 'end'")
     if dim is None or unit is None:
-        raise ParseError(lineno, "algebra-table needs 'dim' and 'unit'")
+        raise ParseError(end, "algebra-table needs 'dim' and 'unit'")
     if labels is None:
         labels = [f"b{i}" for i in range(dim)]
     try:
         A = algebra_from_table(field, labels, products, unit, idem,
                                radical, name="table-algebra")
     except AlgebraError as e:
-        raise ParseError(lineno, str(e)) from None
+        raise ParseError(end, str(e)) from None
     return pos, A
 
 
@@ -290,12 +291,8 @@ def _parse_rows(field, text, nrows, ncols, lineno, what):
 def _parse_module(algebra, name, lines, pos):
     dim = None
     action = {}
-    while pos < len(lines):
-        lineno, line = lines[pos]
-        toks = line.split()
-        if toks[0] == "end":
-            pos += 1
-            break
+    body, end, pos = _section(lines, pos, "module")
+    for lineno, toks in body:
         if toks[0] == "dim":
             dim = int(toks[1])
         elif toks[0] == "act":
@@ -311,33 +308,26 @@ def _parse_module(algebra, name, lines, pos):
                 action[b] = Matrix.from_rows(algebra.field, rows)
         else:
             raise ParseError(lineno, f"unknown module directive {toks[0]!r}")
-        pos += 1
-    else:
-        raise ParseError(lines[-1][0], "module section not closed by 'end'")
     if dim is None:
-        raise ParseError(lineno, "module needs 'dim'")
+        raise ParseError(end, "module needs 'dim'")
     mats = []
     for b in range(algebra.dim):
         if b not in action:
-            raise ParseError(lineno, f"module {name!r}: missing action for "
-                                     f"basis element {algebra.labels[b]!r}")
+            raise ParseError(end, f"module {name!r}: missing action for "
+                                  f"basis element {algebra.labels[b]!r}")
         mats.append(action[b])
     try:
         return pos, Module(algebra, dim, mats, name=name)
     except ModuleError as e:
-        raise ParseError(lineno, str(e)) from None
+        raise ParseError(end, str(e)) from None
 
 
 def _parse_map(ws, name, src, dst, lines, pos):
     M = ws.module(src)
     N = ws.module(dst)
     matrix = None
-    while pos < len(lines):
-        lineno, line = lines[pos]
-        toks = line.split()
-        if toks[0] == "end":
-            pos += 1
-            break
+    body, end, pos = _section(lines, pos, "map")
+    for lineno, toks in body:
         if toks[0] == "rows":
             if N.dim == 0 or M.dim == 0:
                 matrix = Matrix.zeros(ws.algebra.field, N.dim, M.dim)
@@ -347,18 +337,15 @@ def _parse_map(ws, name, src, dst, lines, pos):
                 matrix = Matrix.from_rows(ws.algebra.field, rows)
         else:
             raise ParseError(lineno, f"unknown map directive {toks[0]!r}")
-        pos += 1
-    else:
-        raise ParseError(lines[-1][0], "map section not closed by 'end'")
     if matrix is None:
         if N.dim == 0 or M.dim == 0:
             matrix = Matrix.zeros(ws.algebra.field, N.dim, M.dim)
         else:
-            raise ParseError(lineno, f"map {name!r} needs a 'rows' line")
+            raise ParseError(end, f"map {name!r} needs a 'rows' line")
     try:
         return pos, ModuleMap(M, N, matrix, name=name)
     except ModuleError as e:
-        raise ParseError(lineno, str(e)) from None
+        raise ParseError(end, str(e)) from None
 
 
 def load_workspace(path, length_bound: int = 12) -> Workspace:

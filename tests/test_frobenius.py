@@ -330,3 +330,43 @@ def test_embed_into_projective_matches_rank_loop(make):
         u = ctx._embed_into_projective(X)
         ref = _embed_reference(ctx, X)
         assert (u is None and ref is None) or u.matrix == ref, X.name
+
+
+# -- threads sharing an algebra ------------------------------------------------
+
+def test_threads_building_contexts_share_one_opposite():
+    # each thread builds its own context over one fresh, shared algebra; a
+    # lazily built opposite raced here, and a resolver whose opposite sat
+    # over a different copy of A^op recursed between the two in ``dual``
+    import sys
+    import threading
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            A = cyclic_nakayama(GF(3), (3, 3, 4))
+            barrier = threading.Barrier(4)
+            seen, errors = [], []
+
+            def work():
+                try:
+                    barrier.wait()
+                    ctx = FrobeniusContext(A)
+                    for S in simples(A):
+                        ctx.unit_up(S, ctx.n)
+                    seen.append((ctx.algebra.opposite(), ctx.opposite().algebra,
+                                 ctx.resolver.opposite().algebra))
+                except Exception as e:
+                    errors.append(e)
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert len(seen) == 4
+            assert all(op is A.opposite() for ops in seen for op in ops)
+    finally:
+        sys.setswitchinterval(old_interval)

@@ -77,6 +77,44 @@ def test_parse_error_carries_line_number():
     assert "line 4" in str(exc.value)
 
 
+_SECTION_BASE = "field F 2\nquiver\nvertex v\narrow x v v\nrelation x.x\nend\n"
+_MODULE_S = "module S\ndim 1\nact e_v 1\nact x 0\nend\n"
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("field F 2\nquiver\n", 2, "quiver section not closed by 'end'"),
+    ("field F 2\nquiver\nvertex v\n# trailing comment\n\n", 3,
+     "quiver section not closed by 'end'"),
+    ("field F 2\nalgebra-table\ndim 1\nunit 1\n", 4,
+     "algebra-table section not closed by 'end'"),
+    (_SECTION_BASE + "module S\ndim 1\nact e_v 1\n", 9,
+     "module section not closed by 'end'"),
+    (_SECTION_BASE + _MODULE_S + "map f S S\nrows 1\n", 13,
+     "map section not closed by 'end'"),
+    ("field F 2\nalgebra-table\ndim 1\nend\n", 4,
+     "algebra-table needs 'dim' and 'unit'"),
+    ("field F 2\nalgebra-table\ndim 1\nlabels a\n\nend\n", 6,
+     "algebra-table needs 'dim' and 'unit'"),
+    (_SECTION_BASE + "module S\nend\n", 8, "module needs 'dim'"),
+    (_SECTION_BASE + _MODULE_S + "map f S S\n\nend\n", 14,
+     "map 'f' needs a 'rows' line"),
+])
+def test_section_errors_name_their_line(text, lineno, message):
+    # an unclosed section is reported at its last line; a section missing
+    # a required line is reported at its 'end'
+    with pytest.raises(ParseError) as exc:
+        loads_workspace(text)
+    assert exc.value.lineno == lineno
+    assert str(exc.value) == f"line {lineno}: {message}"
+
+
+def test_context_follows_its_arguments():
+    ws = loads_workspace(DUAL_NUMBERS_FILE)
+    assert ws.context().bound == 2 * ws.context().n + 4
+    assert ws.context(bound=20).bound == 20
+    assert ws.context(bound=9).bound == 9
+
+
 def test_non_intertwiner_map_rejected():
     bad = DUAL_NUMBERS_FILE + "\nmap bad S Reg\nrows 1 ; 0\nend\n"
     with pytest.raises(ParseError):
