@@ -21,9 +21,11 @@ print("parameter of the hereditary A2 algebra:",
       gorenstein_parameter(hereditary_a2(QQ)))
 
 # The showcase fixture is discovered, not asserted: the search scans small
-# cyclic Nakayama algebras first (none succeeds: their parameters come out
-# 0, 2, 3 or 4, or their global dimension is finite) and lands on the
-# triangular algebra over the dual numbers.
+# cyclic Nakayama algebras first and lands on the triangular algebra over
+# the dual numbers.  None of the 39 Nakayama candidates has parameter 1:
+# 31 come out 0, 2, 3 or 4 and 8 are infinite.  An exact oracle on their
+# kill lengths proves this, so none of them is built; the hit is certified
+# by computation.
 A = gorenstein_one_search()
 print("search hit:", A.name, "of dimension", A.dim)
 ctx = FrobeniusContext(A)

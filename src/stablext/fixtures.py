@@ -5,7 +5,9 @@ invariants are re-verified each time.  The search in
 :func:`gorenstein_one_search` scans small cyclic Nakayama algebras and a
 six-dimensional triangular table algebra for injective dimension one with
 infinite global dimension; the first certified hit is the fixture used by
-the acceptance suite.
+the acceptance suite.  :func:`nakayama_parameter` reads a cyclic Nakayama
+algebra's parameter off its kill lengths without building it, which is
+how the search rules those candidates out.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .algmod import Algebra, QuiverPresentation, algebra_from_quiver, algebra_fr
 
 __all__ = [
     "dual_numbers", "trunc_poly", "hereditary_a2", "t2_dual_numbers",
-    "cyclic_nakayama", "by_name", "FIXTURE_NAMES",
+    "cyclic_nakayama", "nakayama_parameter", "by_name", "FIXTURE_NAMES",
 ]
 
 
@@ -55,6 +57,52 @@ def cyclic_nakayama(field: Field, kill_lengths) -> Algebra:
     q = QuiverPresentation(field, vertices, arrows, relations)
     return algebra_from_quiver(
         q, name=f"Nakayama{tuple(kill_lengths)}")
+
+
+def nakayama_parameter(kill_lengths):
+    """Exact Gorenstein parameter of ``cyclic_nakayama(F, kill_lengths)``.
+
+    Pure integer arithmetic on the Kupisch series, the same over every
+    field (Gustafson 1985; Ringel 2013); None when the parameter is
+    infinite.  c_i = min(kill_i, c_{i+1} + 1) cyclically is the length of
+    the projective at i.  A uniserial (t, l) has top t and length l; its
+    syzygy is (t + l, c_t - l) and its cosyzygy the quotient of the
+    longest uniserial with the same socle.  The parameter is the larger
+    of the injective dimension of the projectives and the projective
+    dimension of the injectives; a state met twice proves it infinite.
+    """
+    if not kill_lengths or min(kill_lengths) < 2:
+        # shorter relations are not admissible, and the walk need not end
+        raise ValueError(f"kill lengths must be at least 2, got {kill_lengths!r}")
+    v = len(kill_lengths)
+    c = [min(kill_lengths[(i + k) % v] + k for k in range(v)) for i in range(v)]
+    # inj[s]: the injective with socle s, as (top, length)
+    inj = []
+    for s in range(v):
+        l = 1
+        while l < c[(s - l) % v]:
+            l += 1
+        inj.append(((s - l + 1) % v, l))
+
+    def syzygy(t, l):
+        return (t + l) % v, c[t] - l
+
+    def cosyzygy(t, l):
+        top, length = inj[(t + l - 1) % v]
+        return top, length - l
+
+    def dimension(step, state):
+        seen = set()
+        while state[1]:
+            if state in seen:
+                return None
+            seen.add(state)
+            state = step(*state)
+        return len(seen) - 1
+
+    dims = ([dimension(cosyzygy, (t, c[t])) for t in range(v)]
+            + [dimension(syzygy, I) for I in inj])
+    return None if None in dims else max(dims)
 
 
 def t2_dual_numbers(field: Field = GF(2)) -> Algebra:

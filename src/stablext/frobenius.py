@@ -277,13 +277,18 @@ class FrobeniusContext:
 def gorenstein_one_search(bound: int = 8, field=None):
     """First small algebra with parameter 1 and infinite global dimension.
 
-    Scans cyclic Nakayama algebras (up to 3 vertices, relation lengths up
-    to 4) and then the triangular table algebra over the dual numbers; the
-    hit is certified, not asserted: parameter exactly 1, and some simple
-    module with no finite projective resolution within the bound.
+    Scans cyclic Nakayama algebras (up to 3 vertices, relation lengths 2
+    to 4) and then the triangular table algebra over the dual numbers.  A
+    Nakayama candidate whose exact parameter
+    (:func:`~stablext.fixtures.nakayama_parameter`, from its kill lengths
+    alone) is not 1 is skipped unbuilt: a parameter computed to any bound
+    is 1 only when the true one is, so skipping changes no result.  Every
+    other candidate is built, and the hit is certified by computation, not
+    asserted: parameter exactly 1 within the bound, and some simple module
+    with no finite projective resolution within the bound.
     """
     from .exactlin import GF
-    from .fixtures import cyclic_nakayama, t2_dual_numbers
+    from .fixtures import cyclic_nakayama, nakayama_parameter, t2_dual_numbers
     field = field or GF(2)
     candidates = []
     for v in (1, 2, 3):
@@ -292,6 +297,8 @@ def gorenstein_one_search(bound: int = 8, field=None):
     candidates.append(("t2", None))
     for kind, kill in candidates:
         if kind == "nakayama":
+            if nakayama_parameter(kill) != 1:
+                continue
             try:
                 A = cyclic_nakayama(field, kill)
             except Exception:

@@ -13,7 +13,7 @@ Grammar (one record per line, ``#`` starts a comment, blank lines ignored)::
     end
 
     algebra-table            # explicit multiplication table
-    dim <d>
+    dim <d>                  # first
     labels <name> [...]      # optional, defaults to b0..b{d-1}
     unit <d coords>
     e <k> <d coords>         # k-th idempotent, 1-based, ascending
@@ -105,6 +105,22 @@ def _scalar(field: Field, tok: str, lineno: int):
         return field.of(Fraction(tok))
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(lineno, f"bad scalar {tok!r}: {e}") from None
+
+
+def _int(toks, k, lineno, what):
+    """``toks[k]`` as an integer, or a line-numbered error."""
+    tok = toks[k] if k < len(toks) else ""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(lineno, f"{what}: expected an integer, got {tok!r}") from None
+
+
+def _dim(toks, lineno):
+    d = _int(toks, 1, lineno, "dim")
+    if d < 0:
+        raise ParseError(lineno, f"dim: expected a nonnegative integer, got {d}")
+    return d
 
 
 def _coords(field, toks, d, lineno, what):
@@ -242,13 +258,17 @@ def _parse_table(field, lines, pos):
     body, end, pos = _section(lines, pos, "algebra-table")
     for lineno, toks in body:
         if toks[0] == "dim":
-            dim = int(toks[1])
+            if dim is not None:
+                raise ParseError(lineno, "'dim' given twice")
+            dim = _dim(toks, lineno)
+        elif dim is None:
+            raise ParseError(lineno, f"'dim' must precede {toks[0]!r}")
         elif toks[0] == "labels":
             labels = toks[1:]
         elif toks[0] == "unit":
             unit = _coords(field, toks[1:], dim, lineno, "unit")
         elif toks[0] == "e":
-            k = int(toks[1])
+            k = _int(toks, 1, lineno, "e")
             if k != len(idem) + 1:
                 raise ParseError(lineno, f"idempotents must appear in order; "
                                          f"expected e {len(idem) + 1}")
@@ -256,7 +276,7 @@ def _parse_table(field, lines, pos):
         elif toks[0] == "mult":
             if len(toks) < 5 or toks[3] != "->":
                 raise ParseError(lineno, "expected 'mult <i> <j> -> <coords>'")
-            i, j = int(toks[1]), int(toks[2])
+            i, j = _int(toks, 1, lineno, "mult"), _int(toks, 2, lineno, "mult")
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ParseError(lineno, f"product ({i},{j}) out of range")
             products[(i, j)] = _coords(field, toks[4:], dim, lineno,
@@ -294,7 +314,7 @@ def _parse_module(algebra, name, lines, pos):
     body, end, pos = _section(lines, pos, "module")
     for lineno, toks in body:
         if toks[0] == "dim":
-            dim = int(toks[1])
+            dim = _dim(toks, lineno)
         elif toks[0] == "act":
             if dim is None:
                 raise ParseError(lineno, "'dim' must precede 'act'")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from stablext.algmod import (
 )
 from stablext.fixtures import (
     cyclic_nakayama, dual_numbers, hereditary_a2, indecomposable_inventory,
-    t2_dual_numbers, trunc_poly,
+    nakayama_parameter, t2_dual_numbers, trunc_poly,
 )
 from stablext.frobenius import (
     CertificationError, FrobeniusContext, gorenstein_one_search,
@@ -203,6 +204,55 @@ def test_search_returns_t2():
     A = gorenstein_one_search()
     assert A.dim == 6
     assert gorenstein_parameter(A) == 1
+
+
+# every kill tuple on 1-3 vertices with lengths 2-6; this holds every
+# Nakayama candidate of gorenstein_one_search
+_ORACLE_KILLS = [kill for v in (1, 2, 3)
+                 for kill in itertools.product(range(2, 7), repeat=v)]
+
+
+def test_nakayama_oracle_matches_computation():
+    rng = random.Random(17)
+    sample = [tuple(rng.randrange(2, 7) for _ in range(rng.randrange(1, 4)))
+              for _ in range(12)]
+    cases = ([(GF(2), kill) for kill in _ORACLE_KILLS]
+             + [(GF(65521), kill) for kill in sample]
+             + [(GF(2), kill) for kill in ((4, 4, 5, 5), (2, 3, 4, 5),
+                                           (2, 2, 3, 4), (3, 3, 3, 4))])
+    # every finite parameter here is at most 5, so bound 8 decides them all
+    for F, kill in cases:
+        assert (nakayama_parameter(kill)
+                == gorenstein_parameter(cyclic_nakayama(F, kill), 8)), (F, kill)
+
+
+@pytest.mark.parametrize("kill", [(), (1,), (3, 0), (-2, 4)])
+def test_nakayama_oracle_rejects_short_kill_lengths(kill):
+    with pytest.raises(ValueError):
+        nakayama_parameter(kill)
+
+
+def test_search_skips_every_nakayama_candidate_unbuilt(monkeypatch):
+    import stablext.fixtures as fixtures
+    built, asked = [], []
+    real_build, real_oracle = fixtures.cyclic_nakayama, fixtures.nakayama_parameter
+    monkeypatch.setattr(fixtures, "cyclic_nakayama",
+                        lambda *a: built.append(a) or real_build(*a))
+    monkeypatch.setattr(fixtures, "nakayama_parameter",
+                        lambda kill: asked.append(kill) or real_oracle(kill))
+    A = gorenstein_one_search()
+    assert built == []
+    assert len(asked) == 39 and set(asked) <= set(_ORACLE_KILLS)
+    assert A.regular_module().key == t2_dual_numbers(GF(2)).regular_module().key
+
+
+def test_search_over_gf3_and_below_bound_one():
+    A = gorenstein_one_search(field=GF(3))
+    assert A.field == GF(3)
+    assert A.regular_module().key == t2_dual_numbers(GF(3)).regular_module().key
+    # no parameter can be certified as 1 within bound 0
+    with pytest.raises(CertificationError):
+        gorenstein_one_search(bound=0)
 
 
 # -- inventories -------------------------------------------------------------

@@ -108,6 +108,42 @@ def test_section_errors_name_their_line(text, lineno, message):
     assert str(exc.value) == f"line {lineno}: {message}"
 
 
+_TABLE = "field F 2\nalgebra-table\n"
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    pytest.param(_TABLE + "mult 0 0 -> 1\ndim 1\nunit 1\nend\n", 3,
+                 "'dim' must precede 'mult'", id="mult-before-dim"),
+    pytest.param(_TABLE + "unit 1\ndim 1\nend\n", 3,
+                 "'dim' must precede 'unit'", id="unit-before-dim"),
+    pytest.param(_TABLE + "dim 1\nunit 1\ndim 2\nend\n", 5,
+                 "'dim' given twice", id="dim-twice"),
+    pytest.param(_TABLE + "dim x\nunit 1\nend\n", 3,
+                 "dim: expected an integer, got 'x'", id="dim-not-int"),
+    pytest.param(_TABLE + "dim\nunit 1\nend\n", 3,
+                 "dim: expected an integer, got ''", id="dim-missing"),
+    pytest.param(_TABLE + "dim 1\nunit 1\ne x 1\nend\n", 5,
+                 "e: expected an integer, got 'x'", id="e-not-int"),
+    pytest.param(_TABLE + "dim 1\nunit 1\nmult a 0 -> 1\nend\n", 5,
+                 "mult: expected an integer, got 'a'", id="mult-not-int"),
+    pytest.param(_TABLE + "dim -1\nunit 1\nend\n", 3,
+                 "dim: expected a nonnegative integer, got -1", id="dim-negative"),
+    pytest.param(_SECTION_BASE + "module S\ndim x\nend\n", 8,
+                 "dim: expected an integer, got 'x'", id="module-dim-not-int"),
+    pytest.param(_SECTION_BASE + "module S\ndim -2\nend\n", 8,
+                 "dim: expected a nonnegative integer, got -2",
+                 id="module-dim-negative"),
+])
+def test_integer_and_order_errors_name_their_line(tmp_path, capsys, text,
+                                                  lineno, message):
+    # a table's 'dim' comes first and once; dim, e and mult take
+    # integers, and a dim is nonnegative
+    f = tmp_path / "bad.txt"
+    f.write_text(text, encoding="utf-8")
+    assert main(["--load", str(f), "check"]) == 2
+    assert capsys.readouterr().err == f"error: line {lineno}: {message}\n"
+
+
 def test_context_follows_its_arguments():
     ws = loads_workspace(DUAL_NUMBERS_FILE)
     assert ws.context().bound == 2 * ws.context().n + 4
