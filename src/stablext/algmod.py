@@ -13,7 +13,11 @@ Modules are representations: one action matrix per algebra basis element.
 Morphisms are intertwining matrices.  All constructions (kernels, images,
 quotients, sums, pullbacks, pushouts, covers, envelopes) are normalized
 through the deterministic elimination of :mod:`stablext.exactlin`, so equal
-inputs always produce coordinate-identical outputs.
+inputs always produce coordinate-identical outputs.  Every map that a
+universal property induces is found by one of two helpers:
+:func:`factor_through` (out of W, through jointly surjective maps into W)
+and :func:`lift_through` (into W, through jointly injective maps out of W,
+as into an image or a pullback).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ __all__ = [
     "submodule", "quotient_module", "direct_sum", "zero_module",
     "simples", "projective_indecs", "injective_indecs",
     "top", "rad", "socle", "projective_cover", "injective_envelope",
-    "pullback", "pushout", "mediating_map_pullback",
+    "pullback", "pushout", "factor_through", "lift_through",
     "check_conflation", "splice",
     "dual_module", "dual_map", "dual_conflation",
 ]
@@ -869,8 +873,7 @@ def kernel_module(f: ModuleMap, name: str = ""):
 def image_module(f: ModuleMap, name: str = ""):
     span = column_space_basis(f.matrix)
     I, incl = submodule(f.target, span, name=name or f"im({f.name})")
-    corestrict = solve(span, f.matrix)
-    return I, incl, ModuleMap(f.source, I, corestrict, _skip_checks=True)
+    return I, incl, lift_through((f, incl))
 
 
 def cokernel_module(f: ModuleMap, name: str = ""):
@@ -1074,18 +1077,48 @@ def pushout(f: ModuleMap, g: ModuleMap):
     return W, proj * injs[0], proj * injs[1]
 
 
-def mediating_map_pullback(pX: ModuleMap, pY: ModuleMap, cX: ModuleMap,
-                           cY: ModuleMap):
-    """The unique map into the pullback W = pX.source through a competing
-    cone (cX, cY), by solve; None if the cone does not factor."""
-    F = pX.matrix.field
-    sys = Matrix(F, np.vstack([pX.matrix.a, pY.matrix.a]))
-    # mediating m: cX.source -> W with pX m = cX and pY m = cY, solved columnwise
-    rhs = Matrix(F, np.vstack([cX.matrix.a, cY.matrix.a]))
-    X = solve(sys, rhs)
+def factor_through(*pairs) -> ModuleMap:
+    """The unique x with x . q_i = f_i for every pair (f_i, q_i).
+
+    The q_i share their target W and are jointly surjective, and the f_i
+    share their target T; each f_i must kill what q_i kills.  One solve on
+    the transposed stacks [q_1 ... q_r]^T x^T = [f_1 ... f_r]^T, and x is
+    checked to intertwine.  This is how a map out of a cokernel, a pushout
+    or a syzygy covered by P_k is induced.
+    """
+    W, T = pairs[0][1].target, pairs[0][0].target
+    X = _solve_stacked(W.algebra.field, [q.matrix.transpose() for _, q in pairs],
+                       [f.matrix.transpose() for f, _ in pairs])
     if X is None:
-        return None
-    return ModuleMap(cX.source, pX.source, X)
+        raise RuntimeError(f"no map {_named(W)} -> {_named(T)} factors the "
+                           f"given maps through the ones into it")
+    return ModuleMap(W, T, X.transpose())
+
+
+def lift_through(*pairs) -> ModuleMap:
+    """The unique x with i_k . x = f_k for every pair (f_k, i_k).
+
+    The i_k share their source W and are jointly injective, and the f_k
+    share their source S; the f_k must land where the i_k do.  One solve
+    on the stacks [i_1; ...; i_r] x = [f_1; ...; f_r], and x is checked to
+    intertwine.  This is how a map into a kernel or a pullback is induced.
+    """
+    W, S = pairs[0][1].source, pairs[0][0].source
+    X = _solve_stacked(W.algebra.field, [i.matrix for _, i in pairs],
+                       [f.matrix for f, _ in pairs])
+    if X is None:
+        raise RuntimeError(f"no map {_named(S)} -> {_named(W)} lifts the "
+                           f"given maps through the ones out of it")
+    return ModuleMap(S, W, X)
+
+
+def _solve_stacked(F: Field, lhs, rhs):
+    return solve(Matrix(F, np.vstack([m.a for m in lhs])),
+                 Matrix(F, np.vstack([m.a for m in rhs])))
+
+
+def _named(M: Module) -> str:
+    return f"{M.name or '?'} (dim {M.dim})"
 
 
 # ----------------------------------------------------------------------

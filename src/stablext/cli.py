@@ -30,11 +30,14 @@ from .exactlin import FieldMismatch
 from .fixtures import FIXTURE_NAMES, by_name
 from .frobenius import CertificationError
 from .phantom import ext_ring, is_phantom, is_quasi_invertible, p_subspace
+from .resolve import ResolutionBoundError
 from .stablecat import omega_iso, stable_hom
 from .textio import ParseError, Workspace, dump_workspace, load_workspace
 
+# a resolution past --bound is an input error: a larger --bound lifts it
 INPUT_ERRORS = (ParseError, AlgebraError, ModuleError, ConflationError,
-                FieldMismatch, KeyError, ValueError, FileNotFoundError)
+                FieldMismatch, KeyError, ValueError, FileNotFoundError,
+                ResolutionBoundError)
 
 
 def _fixture_workspace(name: str, bound) -> Workspace:

@@ -7,7 +7,8 @@ simultaneously as relative projectives and injectives, every module admits
 unit conflations built from truncated minimal (co)resolutions, and the
 classical case n = 0 is exactly a self-injective algebra.  The detection
 here is empirical: nothing is assumed that is not re-verified by rank
-computations (see ``certify`` flags below and the test suite).
+computations (unit middles are certified relative projective, and so are
+the glued pairs of :mod:`stablext.phantom`).
 """
 
 from __future__ import annotations

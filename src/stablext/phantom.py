@@ -16,7 +16,7 @@ from __future__ import annotations
 from .exactlin import Matrix, combine, kernel_basis, quotient_reps, rank, solve
 from .algmod import (
     Conflation, Module, ModuleMap, cokernel_module, column_space_basis,
-    direct_sum, identity_map, zero_module, zero_map,
+    direct_sum, factor_through, identity_map, zero_module, zero_map,
 )
 from .frobenius import CertificationError, FrobeniusContext, UnitConflation
 from .resolve import (
@@ -231,11 +231,8 @@ def luf(ctx: FrobeniusContext, gamma: ExtElement):
     M = gamma.M
     k = gamma.n
     delta = ctx.unit_down(M, k)
-    res = ctx.resolver.resolution(M)
-    g = ctx.resolver.solve_hom(res.syzygy(k), gamma.N, gamma.cocycle,
-                               pre=res.cover(k))
-    if g is None:
-        raise CertificationError("left unit factorization failed")
+    # the cocycle kills im d_{k+1}, so it factors through P_k ->> syz^k M
+    g = factor_through((gamma.cocycle, ctx.resolver.resolution(M).cover(k)))
     if not push_out(g, delta.element).same_class(gamma):
         raise CertificationError("left unit factorization did not verify")
     return g, delta
@@ -266,8 +263,8 @@ class AngledPair:
         self.a2 = a2
 
 
-def coangled(ctx: FrobeniusContext, d1: UnitConflation, d2: UnitConflation,
-             certify: bool = True) -> CoangledPair:
+def coangled(ctx: FrobeniusContext, d1: UnitConflation,
+             d2: UnitConflation) -> CoangledPair:
     """The explicit gluing of two co-unit conflations on the same object.
 
     Direct-sum the middle terms step by step, pad each gluing stage with the
@@ -285,7 +282,7 @@ def coangled(ctx: FrobeniusContext, d1: UnitConflation, d2: UnitConflation,
         one = identity_map(c1.right)
         return CoangledPair(d1, one, one)
     return ctx.memo("coangled", (d1, d2),
-                     lambda: _coangled_build(ctx, d1, d2, certify))
+                     lambda: _coangled_build(ctx, d1, d2))
 
 
 def _stage_data(c: Conflation):
@@ -294,11 +291,9 @@ def _stage_data(c: Conflation):
     stages = []
     prev_incl = c.maps[0]
     for t in range(1, k + 1):
-        Pt = c.modules[t]
         if t < k:
             L, q = cokernel_module(prev_incl)
-            nxt = c.maps[t]  # P_t -> P_{t+1}
-            j = _factor_right(nxt, q)
+            j = factor_through((c.maps[t], q))  # induced by P_t -> P_{t+1}
             stages.append((L, q, j))
             prev_incl = j
         else:
@@ -306,72 +301,54 @@ def _stage_data(c: Conflation):
     return stages
 
 
-def _factor_right(f: ModuleMap, q: ModuleMap) -> ModuleMap:
-    """j with j . q = f, for a surjection q whose kernel f kills."""
-    X = solve(q.matrix.transpose(), f.matrix.transpose())
-    if X is None:
-        raise RuntimeError("factorization through cokernel failed")
-    return ModuleMap(q.target, f.target, X.transpose(), _skip_checks=True)
-
-
-def _coangled_build(ctx, d1, d2, certify):
+def _coangled_build(ctx, d1, d2):
     c1, c2 = d1.conflation, d2.conflation
     k = c1.length
     X = c1.left
-    F = ctx.algebra.field
     s1 = _stage_data(c1)
     s2 = _stage_data(c2)
 
     mods = [X]
     maps = []
-    # current inflation legs into the glued middle
-    cur = None
-    b1 = b2 = None
     for t in range(k):
         P1t, P2t = c1.modules[t + 1], c2.modules[t + 1]
         if t == 0:
             Q, injs, projs = direct_sum([P1t, P2t])
             j = (injs[0] * c1.maps[0]) + (injs[1] * c2.maps[0])
-            legs = (projs[0], projs[1])
         else:
-            pad = ctx.envelope(cur)
+            # glue along the previous stage's legs, padded by the envelope
+            # of its cokernel L
+            pad = ctx.envelope(L)
             Q, injs, projs = direct_sum([P1t, P2t, pad.target])
-            j = (injs[0] * (s1[t - 1][2] * b1)) + (injs[1] * (s2[t - 1][2] * b2)) \
+            j = (injs[0] * (s1[t - 1][2] * a1)) + (injs[1] * (s2[t - 1][2] * a2)) \
                 + (injs[2] * pad)
-            legs = (projs[0], projs[1])
         mods.append(Q)
-        maps.append(j if t == 0 else j * qprev)
-        if t < k - 1:
-            L, q = cokernel_module(j)
-            b1 = _factor_right(s1[t][1] * legs[0], q)
-            b2 = _factor_right(s2[t][1] * legs[1], q)
-            cur = L
-            qprev = q
-        else:
-            L, q = cokernel_module(j)
-            a1 = _factor_right(s1[t][1] * legs[0], q)
-            a2 = _factor_right(s2[t][1] * legs[1], q)
-            mods.append(L)
-            maps.append(q)
+        maps.append(j if t == 0 else j * q)
+        L, q = cokernel_module(j)
+        # the legs out of this stage's cokernel; after the last stage they
+        # are the deflations of the pair
+        a1 = factor_through((s1[t][1] * projs[0], q))
+        a2 = factor_through((s2[t][1] * projs[1], q))
+    mods.append(L)
+    maps.append(q)
     conf = Conflation(mods, maps)
     elt = class_from_sequence(ctx.resolver, conf)
     delta3 = UnitConflation(conf, elt, "up", X)
-    if certify:
-        for mid in conf.middles:
-            if not ctx.is_n_projective(mid):
-                raise CertificationError("glued middle term fails certification")
-        for a, d in ((a1, d1), (a2, d2)):
-            if not a.is_surjective():
-                raise CertificationError("co-angled leg is not a deflation")
-            if not is_quasi_invertible(ctx, a):
-                raise CertificationError("co-angled leg is not quasi-invertible")
-            if not pull_back(d.element, a).same_class(elt):
-                raise CertificationError("co-angled class identity failed")
+    for mid in conf.middles:
+        if not ctx.is_n_projective(mid):
+            raise CertificationError("glued middle term fails certification")
+    for a, d in ((a1, d1), (a2, d2)):
+        if not a.is_surjective():
+            raise CertificationError("co-angled leg is not a deflation")
+        if not is_quasi_invertible(ctx, a):
+            raise CertificationError("co-angled leg is not quasi-invertible")
+        if not pull_back(d.element, a).same_class(elt):
+            raise CertificationError("co-angled class identity failed")
     return CoangledPair(delta3, a1, a2)
 
 
-def angled(ctx: FrobeniusContext, d1: UnitConflation, d2: UnitConflation,
-           certify: bool = True) -> AngledPair:
+def angled(ctx: FrobeniusContext, d1: UnitConflation,
+           d2: UnitConflation) -> AngledPair:
     """Dual gluing for unit conflations ending at the same object, computed
     by running the co-angled construction over the opposite algebra."""
     c1, c2 = d1.conflation, d2.conflation
@@ -381,30 +358,29 @@ def angled(ctx: FrobeniusContext, d1: UnitConflation, d2: UnitConflation,
         one = identity_map(c1.left)
         return AngledPair(d1, one, one)
     return ctx.memo("angled", (d1, d2),
-                     lambda: _angled_build(ctx, d1, d2, certify))
+                     lambda: _angled_build(ctx, d1, d2))
 
 
-def _angled_build(ctx, d1, d2, certify):
+def _angled_build(ctx, d1, d2):
     op = ctx.opposite()
     D1 = _dual_unit(ctx, d1)
     D2 = _dual_unit(ctx, d2)
-    pair = coangled(op, D1, D2, certify=certify)
+    pair = coangled(op, D1, D2)
     conf = ctx.resolver.dual_conflation(pair.delta.conflation)
     elt = class_from_sequence(ctx.resolver, conf)
     delta3 = UnitConflation(conf, elt, "down", conf.right)
     a1 = ctx.resolver.dual_map(pair.a1)
     a2 = ctx.resolver.dual_map(pair.a2)
-    if certify:
-        for mid in conf.middles:
-            if not ctx.is_n_projective(mid):
-                raise CertificationError("glued middle term fails certification")
-        for a, d in ((a1, d1), (a2, d2)):
-            if not a.is_injective():
-                raise CertificationError("angled leg is not an inflation")
-            if not is_quasi_invertible(ctx, a):
-                raise CertificationError("angled leg is not quasi-invertible")
-            if not push_out(a, d.element).same_class(elt):
-                raise CertificationError("angled class identity failed")
+    for mid in conf.middles:
+        if not ctx.is_n_projective(mid):
+            raise CertificationError("glued middle term fails certification")
+    for a, d in ((a1, d1), (a2, d2)):
+        if not a.is_injective():
+            raise CertificationError("angled leg is not an inflation")
+        if not is_quasi_invertible(ctx, a):
+            raise CertificationError("angled leg is not quasi-invertible")
+        if not push_out(a, d.element).same_class(elt):
+            raise CertificationError("angled class identity failed")
     return AngledPair(delta3, a1, a2)
 
 
@@ -501,8 +477,7 @@ def compose_mod_p(ctx: FrobeniusContext, N: Module, K: Module,
 class RingTable:
     """(Ext^n(M, syz^n M)/P, +, .): multiplication table on the coset basis."""
 
-    def __init__(self, ctx: FrobeniusContext, M: Module,
-                 ruf_variant: str = "canonical"):
+    def __init__(self, ctx: FrobeniusContext, M: Module):
         self.ctx = ctx
         self.M = M
         self.space = p_subspace(ctx, M, ctx.syz(M))
@@ -510,8 +485,7 @@ class RingTable:
         reps = self.space.basis_representatives()
         for i, bi in enumerate(reps):
             for j, bj in enumerate(reps):
-                self.table[(i, j)] = compose_mod_p(ctx, M, M, bi, bj,
-                                                   ruf_variant=ruf_variant)
+                self.table[(i, j)] = compose_mod_p(ctx, M, M, bi, bj)
         self.one = self.space.qcoords(ctx.unit_element(M))
 
     @property
@@ -544,10 +518,8 @@ def _has_two_sided_inverse(products, one_left: Matrix,
     return li is not None and ri is not None and li == ri
 
 
-def ext_ring(ctx: FrobeniusContext, M: Module,
-             ruf_variant: str = "canonical") -> RingTable:
-    return ctx.memo("ring", (M,), lambda: RingTable(ctx, M, ruf_variant),
-                     ruf_variant)
+def ext_ring(ctx: FrobeniusContext, M: Module) -> RingTable:
+    return ctx.memo("ring", (M,), lambda: RingTable(ctx, M))
 
 
 def phi(ctx: FrobeniusContext, f: ModuleMap) -> Matrix:

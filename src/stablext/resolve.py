@@ -11,6 +11,10 @@ independent oracle for the cocycle arithmetic.
 Every chain map (the lift of a morphism to resolutions, the class of an
 explicit sequence, the connecting maps and the syzygy shift) is computed
 by one comparison-theorem step, :meth:`Resolver.comparison_lift`.
+Every other induced map (out of a pushout, into a pullback, or a cocycle
+factored through the cover P_n ->> syz^n) comes from
+:func:`~stablext.algmod.factor_through` or
+:func:`~stablext.algmod.lift_through`.
 
 Structure that every query needs is built by constructors, once: an
 :class:`~stablext.algmod.Algebra` builds its multiplication matrices,
@@ -33,13 +37,11 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
-
 from .exactlin import Matrix, combine, kernel_basis, quotient_reps, rank, solve
 from .algmod import (
     Algebra, Conflation, ConflationError, Module, ModuleMap,
-    column_space_basis, direct_sum, dual_module, hom_space, kernel_module,
-    mediating_map_pullback, projective_cover, pushout, pullback, splice,
+    column_space_basis, direct_sum, dual_module, factor_through, hom_space,
+    kernel_module, lift_through, projective_cover, pushout, pullback, splice,
     zero_map, zero_module,
 )
 
@@ -186,8 +188,8 @@ class Resolution:
 
 
 class Coresolution:
-    """Minimal injective coresolution, dual to the resolution of the dual
-    module over the opposite algebra."""
+    """Minimal injective coresolution: a view of the resolution of the dual
+    module over the opposite algebra, dualized term by term."""
 
     def __init__(self, resolver: "Resolver", M: Module):
         self.resolver = resolver
@@ -201,33 +203,13 @@ class Coresolution:
     def cosyzygy(self, k: int) -> Module:
         return self.resolver.dual(self.op_res.syzygy(k))
 
-    def coaugmentation(self) -> ModuleMap:
-        return self.resolver.dual_map(self.op_res.augmentation())
-
-    def codiff(self, j: int) -> ModuleMap:
-        """I^j -> I^{j+1}."""
-        return self.resolver.dual_map(self.op_res.diff(j))
-
-    def defl(self, k: int) -> ModuleMap:
-        """The deflation I^k -> cosyzygy_k."""
-        return self.resolver.dual_map(self.op_res.incl(k - 1))
-
-    def infl(self, k: int) -> ModuleMap:
-        """The inflation cosyzygy_k -> I^{k+1}."""
-        return self.resolver.dual_map(self.op_res.cover(k))
-
     def inj_dim(self, bound: int):
         return self.op_res.proj_dim(bound)
 
     def truncation(self, k: int) -> Conflation:
-        """The unit conflation M -> I^1 -> ... -> I^k -> cosyzygy_k."""
-        if k < 1:
-            raise ValueError("truncation needs k >= 1")
-        mods = [self.module] + [self.term(j) for j in range(1, k + 1)] \
-            + [self.cosyzygy(k)]
-        maps = [self.coaugmentation()] + [self.codiff(j) for j in range(1, k)] \
-            + [self.defl(k)]
-        return Conflation(mods, maps, _skip_checks=True)
+        """The unit conflation M -> I^1 -> ... -> I^k -> cosyzygy_k: the
+        dual of the opposite side's truncation."""
+        return self.resolver.dual_conflation(self.op_res.truncation(k))
 
 
 def _memo_key(x):
@@ -308,10 +290,9 @@ class Resolver:
 
     def dual_conflation(self, c: Conflation) -> Conflation:
         """The dual conflation over the other side, on the cached duals."""
-        mods = [self.dual(m) for m in reversed(c.modules)]
-        maps = [ModuleMap(src, dst, f.matrix.transpose(), _skip_checks=True)
-                for f, src, dst in zip(reversed(c.maps), mods, mods[1:])]
-        return Conflation(mods, maps, _skip_checks=True)
+        return Conflation([self.dual(m) for m in reversed(c.modules)],
+                          [self.dual_map(f) for f in reversed(c.maps)],
+                          _skip_checks=True)
 
     def resolution(self, M: Module) -> Resolution:
         return self._memo("resolution", (M,), lambda: Resolution(self, M))
@@ -366,17 +347,16 @@ class Resolver:
 
     # -- linear solves in hom spaces ---------------------------------
 
-    def solve_hom(self, U: Module, V: Module, rhs: ModuleMap,
-                  post: ModuleMap | None = None, pre: ModuleMap | None = None):
-        """phi in Hom(U, V) with post . phi = rhs, or with phi . pre = rhs
-        when ``pre`` is given instead; None if there is none."""
+    def solve_hom(self, U: Module, V: Module, rhs: ModuleMap, post: ModuleMap):
+        """phi in Hom(U, V) with post . phi = rhs, or None if there is none.
+
+        Unlike :func:`~stablext.algmod.lift_through`, ``post`` need not be
+        injective: any solution inside Hom(U, V) will do.
+        """
         hb = self.hom_basis(U, V)
         if U.dim == 0 or V.dim == 0 or not hb.maps:
             return zero_map(U, V) if rhs.is_zero() else None
-        if post is not None:
-            cols = [(post.matrix * h.matrix).flatten().a for h in hb.maps]
-        else:
-            cols = [(h.matrix * pre.matrix).flatten().a for h in hb.maps]
+        cols = [(post.matrix * h.matrix).flatten().a for h in hb.maps]
         b = rhs.matrix.flatten()
         x = solve(Matrix.from_columns(self.algebra.field, b.rows, cols), b)
         if x is None:
@@ -592,10 +572,7 @@ def sequence_from_element(gamma: ExtElement) -> Conflation:
     res = gamma.resolver.resolution(gamma.M)
     n = gamma.n
     # cocycle kills im d_{n+1}, so it factors through the cover P_n ->> K_n
-    g = gamma.resolver.solve_hom(res.syzygy(n), gamma.N, gamma.cocycle,
-                                 pre=res.cover(n))
-    if g is None:
-        raise RuntimeError("cocycle does not factor through the syzygy")
+    g = factor_through((gamma.cocycle, res.cover(n)))
     return pushout_sequence(g, res.truncation(n))
 
 
@@ -623,9 +600,7 @@ def pullback_sequence(c: Conflation, h: ModuleMap) -> Conflation:
     W, pX, pA = pullback(defl, h)
     # X_1 maps into W through (d, 0)
     d1 = c.maps[-2]
-    ext = mediating_map_pullback(pX, pA, d1, zero_map(d1.source, h.source))
-    if ext is None:
-        raise RuntimeError("pullback corestriction failed")
+    ext = lift_through((d1, pX), (zero_map(d1.source, h.source), pA))
     mods = c.modules[:-2] + [W, h.source]
     maps = c.maps[:-2] + [ext, pA]
     return Conflation(mods, maps)
@@ -639,21 +614,10 @@ def pushout_sequence(l: ModuleMap, c: Conflation) -> Conflation:
     W, iX, iB = pushout(infl, l)
     # the induced map W -> X_{t-2} kills (infl b, -l b)
     d1 = c.maps[1]
-    d = _factor_through_pushout(W, iX, iB, d1, zero_map(l.target, d1.target))
+    d = factor_through((d1, iX), (zero_map(l.target, d1.target), iB))
     mods = [l.target, W] + c.modules[2:]
     maps = [iB, d] + c.maps[2:]
     return Conflation(mods, maps)
-
-
-def _factor_through_pushout(W, iX, iB, from_X: ModuleMap, from_B: ModuleMap) -> ModuleMap:
-    """The induced map out of a pushout W from a compatible pair."""
-    F = W.algebra.field
-    sysm = Matrix(F, np.hstack([iX.matrix.a, iB.matrix.a])).transpose()
-    rhs = Matrix(F, np.hstack([from_X.matrix.a, from_B.matrix.a])).transpose()
-    X = solve(sysm, rhs)
-    if X is None:
-        raise RuntimeError("pushout factorization failed")
-    return ModuleMap(W, from_X.target, X.transpose(), _skip_checks=True)
 
 
 def direct_sum_conflation(c: Conflation, d: Conflation) -> Conflation:
@@ -769,9 +733,7 @@ def _connect_by_lifting(resolver, c: Conflation, elt: ExtElement,
     h = resolver.comparison_lift(resC, resC.augmentation(), [defl, infl])[1]
     # h: P_1(C) -> A kills im d_2, hence factors through the first syzygy of C;
     # pulling gamma back along the induced map realizes the connecting map.
-    g = resolver.solve_hom(resC.syzygy(1), A, h, pre=resC.cover(1))
-    if g is None:
-        raise RuntimeError("syzygy factorization failed")
+    g = factor_through((h, resC.cover(1)))
     if n == 0:
         composed = elt.cocycle * g          # syz(C) -> X
         psi = composed * resC.cover(1)      # P_1(C) -> X

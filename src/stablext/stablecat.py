@@ -186,9 +186,7 @@ class OmegaIso:
         up = conn1.matrix * self.source.pmod.reps_p
         # second leg: the contravariant connecting along syz M -> P_0 -> M,
         # inverted on the quotient by P
-        resM = resolver.resolution(M)
-        c2 = Conflation([resM.syzygy(1), resM.term(0), M],
-                        [resM.incl(0), resM.cover(0)], _skip_checks=True)
+        c2 = resolver.resolution(M).truncation(1)
         Z = self.target.anchor
         conn2 = connecting_map(resolver, c2, Z, n, covariant=False)
         if conn1.target.dim != conn2.target.dim:

@@ -180,6 +180,9 @@ def loads_workspace(text: str, length_bound: int = 12) -> Workspace:
             need_ws(lineno)
             if len(toks) != 4:
                 raise ParseError(lineno, "expected 'map <name> <src> <dst>'")
+            for m in toks[2:]:
+                if m not in ws.modules:
+                    raise ParseError(lineno, f"map {toks[1]}: unknown module {m!r}")
             pos, f = _parse_map(ws, toks[1], toks[2], toks[3], lines, pos + 1)
             ws.add_map(toks[1], f)
         else:
@@ -237,7 +240,7 @@ def _parse_quiver(field, lines, pos, length_bound):
                 for a in path:
                     if a not in arrow_names:
                         raise ParseError(lineno, f"relation uses unknown arrow {a!r}")
-                terms.append((Fraction(coeff.strip()), path))
+                terms.append((_scalar(field, coeff.strip(), lineno), path))
             relations.append(terms)
         else:
             raise ParseError(lineno, f"unknown quiver directive {toks[0]!r}")
@@ -318,8 +321,13 @@ def _parse_module(algebra, name, lines, pos):
         elif toks[0] == "act":
             if dim is None:
                 raise ParseError(lineno, "'dim' must precede 'act'")
+            if len(toks) < 2:
+                raise ParseError(lineno, "expected 'act <basis-label> <rows>'")
             label = toks[1]
-            b = algebra.label_index(label)
+            try:
+                b = algebra.label_index(label)
+            except AlgebraError as e:
+                raise ParseError(lineno, str(e)) from None
             if dim == 0:
                 action[b] = Matrix.zeros(algebra.field, 0, 0)
             else:

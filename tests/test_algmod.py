@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from stablext.exactlin import GF, QQ, Matrix, kernel_basis, rank, solve
 from stablext.algmod import (
     AlgebraError, ConflationError, Conflation, ModuleError, QuiverPresentation,
     algebra_from_quiver, check_conflation, cokernel_module, direct_sum,
-    dual_module, hom_dim, hom_space, identity_map, image_module,
+    dual_module, factor_through, hom_dim, hom_space, identity_map, image_module,
     injective_indecs, injective_envelope, is_isomorphic, kernel_module,
-    mediating_map_pullback, projective_cover, projective_indecs, pullback,
+    lift_through, projective_cover, projective_indecs, pullback,
     pushout, quotient_module, rad, random_hom, simples, socle, splice,
     submodule, top, zero_map, zero_module, ModuleMap, Module,
     column_space_basis,
@@ -281,10 +282,54 @@ def test_pullback_universal_property(dn):
         # build a cone: need f cX = f cY; take cY with matching composite
         for h in cY_candidates:
             if (f * cX).matrix == (f * h).matrix:
-                m = mediating_map_pullback(pX, pY, cX, h)
-                assert m is not None
+                m = lift_through((cX, pX), (h, pY))
                 assert (pX * m).matrix == cX.matrix
                 assert (pY * m).matrix == h.matrix
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=str)
+def test_factor_and_lift_through_recover_the_map(field):
+    # a pushout's two maps into W are jointly surjective and a pullback's
+    # two maps out of W jointly injective, so a map out of (into) W is
+    # recovered from its composites with them; so it is for one surjection
+    # or one injection
+    rng = random.Random(5)
+    A = t2_dual_numbers(field)
+    R = A.regular_module()
+    S = simples(A)[0]
+    P, q = projective_cover(S)
+    K, incl = kernel_module(q)
+    for _ in range(3):
+        f, g = random_hom(rng, R, R), random_hom(rng, R, R)
+        W, iX, iY = pushout(f, g)
+        x = random_hom(rng, W, R)
+        assert factor_through((x * iX, iX), (x * iY, iY)) == x
+        W, pX, pY = pullback(f, g)
+        y = random_hom(rng, R, W)
+        assert lift_through((pX * y, pX), (pY * y, pY)) == y
+        x = random_hom(rng, S, R)
+        assert factor_through((x * q, q)) == x
+        y = random_hom(rng, R, K)
+        assert lift_through((incl * y, incl)) == y
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=str)
+def test_factor_and_lift_through_name_both_modules(field):
+    A = t2_dual_numbers(field)
+    S = simples(A)[0]
+    P, q = projective_cover(S)
+    K, incl = kernel_module(q, name="K")
+    assert P.dim > 1 and K.dim > 0
+    # the identity of P kills nothing, so it factors through no surjection
+    # with a kernel, and lifts through no injection that misses some of P
+    with pytest.raises(RuntimeError,
+                       match=rf"no map S1 \(dim 1\) -> {re.escape(P.name)} "
+                             rf"\(dim {P.dim}\)"):
+        factor_through((identity_map(P), q))
+    with pytest.raises(RuntimeError,
+                       match=rf"no map {re.escape(P.name)} \(dim {P.dim}\) "
+                             rf"-> K \(dim {K.dim}\)"):
+        lift_through((identity_map(P), incl))
 
 
 # -- conflations ---------------------------------------------------------

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from stablext.exactlin import GF, Matrix
+from stablext import phantom, resolve
+from stablext.exactlin import GF, QQ, Matrix, solve
 from stablext.algmod import (
-    ModuleMap, hom_space, identity_map, projective_indecs, random_hom,
-    simples, zero_map,
+    ModuleMap, factor_through, hom_space, identity_map, projective_indecs,
+    random_hom, simples, zero_map,
 )
 from stablext.fixtures import (
-    dual_numbers, indecomposable_inventory, t2_dual_numbers, trunc_poly,
+    dual_numbers, hereditary_a2, indecomposable_inventory, t2_dual_numbers,
+    trunc_poly,
 )
 from stablext.frobenius import FrobeniusContext
 from stablext.phantom import (
@@ -16,7 +18,9 @@ from stablext.phantom import (
     is_phantom, is_phantom_right, is_quasi_invertible, luf,
     p_member, p_member_factoring, p_subspace, phi, ruf,
 )
-from stablext.resolve import ExtElement, pull_back, push_out
+from stablext.resolve import (
+    ExtElement, connecting_map, pull_back, push_out, sequence_from_element,
+)
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +236,58 @@ def test_luf_round_trip_t2(t2_ctx):
         for gamma in space.basis_elements():
             g, delta = luf(ctx, gamma)
             assert push_out(g, delta.element).same_class(gamma)
+
+
+def _hom_basis_factor(resolver, rhs, pre):
+    """phi with phi . pre = rhs, solved over the hom basis of
+    Hom(pre.target, rhs.target): a route to factor_through's answer that
+    shares no code with it."""
+    U, V = pre.target, rhs.target
+    hb = resolver.hom_basis(U, V)
+    if U.dim == 0 or V.dim == 0 or not hb.maps:
+        return zero_map(U, V) if rhs.is_zero() else None
+    cols = [(h.matrix * pre.matrix).flatten().a for h in hb.maps]
+    b = rhs.matrix.flatten()
+    x = solve(Matrix.from_columns(resolver.algebra.field, b.rows, cols), b)
+    return None if x is None else hb.combine(x)
+
+
+@pytest.mark.parametrize("algebra", [
+    lambda: t2_dual_numbers(GF(2)), lambda: trunc_poly(3, GF(3)),
+    lambda: hereditary_a2(QQ)], ids=["t2-GF2", "trunc3-GF3", "A2-Q"])
+def test_cover_factorizations_match_hom_basis_solve(monkeypatch, algebra):
+    # sequence_from_element, luf and the contravariant connecting map each
+    # factor a cocycle through a cover P_k ->> syz^k; on the inventory each
+    # answer must equal the hom-basis solve
+    ctx = FrobeniusContext(algebra())
+    R = ctx.resolver
+    calls = []
+
+    def recording(*pairs):
+        x = factor_through(*pairs)
+        if len(pairs) == 1:
+            calls.append((pairs[0], x))
+        return x
+
+    monkeypatch.setattr(resolve, "factor_through", recording)
+    monkeypatch.setattr(phantom, "factor_through", recording)
+    sites = {
+        "sequence": lambda M, N: [sequence_from_element(gamma) for gamma
+                                  in R.ext(M, N, 1).basis_elements()],
+        "luf": lambda M, N: [luf(ctx, gamma) for gamma
+                             in R.ext(M, N, 1).basis_elements()],
+        "connecting": lambda M, N: connecting_map(
+            R, R.resolution(M).truncation(1), N, 0, covariant=False),
+    }
+    inv = indecomposable_inventory(ctx)
+    for site, run in sites.items():
+        for M in inv:
+            for N in inv:
+                run(M, N)
+        assert calls, site
+        for (f, q), x in calls:
+            assert x == _hom_basis_factor(R, f, q)
+        calls.clear()
 
 
 def test_ruf_zero_class(t2_ctx):

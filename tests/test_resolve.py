@@ -5,7 +5,7 @@ import pytest
 
 from stablext.exactlin import GF, QQ, Matrix, rank
 from stablext.algmod import (
-    Module, ModuleMap, direct_sum, hom_space, identity_map, is_isomorphic,
+    Module, ModuleMap, direct_sum, factor_through, hom_space, identity_map, is_isomorphic,
     projective_indecs, quotient_module, random_hom, simples, splice, zero_map,
 )
 from stablext.fixtures import dual_numbers, hereditary_a2, trunc_poly
@@ -463,17 +463,20 @@ def test_comparison_lift_error_names_degree_and_module(monkeypatch,
 
 
 def test_solve_hom_both_sides(dn):
-    # post . phi = rhs and phi . pre = rhs, each against a known solution
+    # post . phi = rhs inside Hom(P, P), and phi . q = rhs through the
+    # surjection q: P ->> S by factor_through, each against a known solution
     A, R = dn
     P = projective_indecs(A)[0]
+    S = simples(A)[0]
+    q = R.resolution(S).cover(0)
     rng = random.Random(3)
     for _ in range(5):
         phi = random_hom(rng, P, P)
         g = random_hom(rng, P, P)
         x = R.solve_hom(P, P, g * phi, post=g)
         assert x is not None and g * x == g * phi
-        y = R.solve_hom(P, P, phi * g, pre=g)
-        assert y is not None and y * g == phi * g
+        psi = random_hom(rng, S, P)
+        assert factor_through((psi * q, q)) == psi
     S = simples(A)[0]
     one = identity_map(S)
     assert R.solve_hom(S, P, one, post=zero_map(P, S)) is None

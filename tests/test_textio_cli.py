@@ -144,6 +144,35 @@ def test_integer_and_order_errors_name_their_line(tmp_path, capsys, text,
     assert capsys.readouterr().err == f"error: line {lineno}: {message}\n"
 
 
+_QUIVER_F3 = "field F 3\nquiver\nvertex v\narrow x v v\n"
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    pytest.param(_QUIVER_F3 + "relation 1/0*x.x\nend\n", 5,
+                 "bad scalar '1/0': Fraction(1, 0)", id="coeff-zero-denominator"),
+    pytest.param(_QUIVER_F3 + "relation 1/3*x.x\nend\n", 5,
+                 "bad scalar '1/3': 1/3 has no image in GF(3)",
+                 id="coeff-not-in-field"),
+    pytest.param(_QUIVER_F3 + "relation 2y*x.x\nend\n", 5,
+                 "bad scalar '2y': Invalid literal for Fraction: '2y'",
+                 id="coeff-not-a-number"),
+    pytest.param(_SECTION_BASE + "module S\ndim 1\nact\nend\n", 9,
+                 "expected 'act <basis-label> <rows>'", id="act-without-label"),
+    pytest.param(_SECTION_BASE + "module S\ndim 1\nact z 1\nend\n", 9,
+                 "unknown basis label 'z'", id="act-unknown-label"),
+    pytest.param(_SECTION_BASE + _MODULE_S + "map f S T\nrows 1\nend\n", 12,
+                 "map f: unknown module 'T'", id="map-unknown-module"),
+])
+def test_scalar_label_and_name_errors_name_their_line(tmp_path, capsys, text,
+                                                      lineno, message):
+    # relation coefficients are scalars of the field; an 'act' line names
+    # a basis label, and a map names modules defined above it
+    f = tmp_path / "bad.txt"
+    f.write_text(text, encoding="utf-8")
+    assert main(["--load", str(f), "check"]) == 2
+    assert capsys.readouterr().err == f"error: line {lineno}: {message}\n"
+
+
 def test_context_follows_its_arguments():
     ws = loads_workspace(DUAL_NUMBERS_FILE)
     assert ws.context().bound == 2 * ws.context().n + 4
@@ -231,6 +260,17 @@ def test_cli_phantom_xmul(tmp_path):
 def test_cli_unknown_module_exit_2():
     code, _ = run_cli("--fixture", "dual-numbers", "stablehom", "S1", "NOPE")
     assert code == 2
+
+
+def test_cli_resolution_past_the_bound_exit_2(capsys):
+    # a larger --bound lifts it, so it is an input error, not a crash
+    code, _ = run_cli("--fixture", "dual-numbers", "ext", "S1", "S1", "20")
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: resolution of S1 exceeded bound 10\n"
+    code, out = run_cli("--fixture", "dual-numbers", "--bound", "22",
+                        "ext", "S1", "S1", "20")
+    assert code == 0 and out.startswith("dim Ext^20(S1, S1) = 1\n")
 
 
 def test_cli_parse_error_exit_2(tmp_path):
