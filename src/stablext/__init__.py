@@ -23,7 +23,7 @@ from .exactlin import GF, QQ, Field, Matrix, kernel_basis, quotient_reps, rank, 
 from .algmod import (
     Algebra, Conflation, Module, ModuleMap, QuiverPresentation,
     algebra_from_quiver, algebra_from_table, check_conflation, cokernel_module,
-    direct_sum, dual_map, dual_module, hom_space, identity_map,
+    direct_sum, dual_module, hom_space, identity_map,
     image_module, indecomposable_summands, injective_envelope,
     injective_indecs, is_isomorphic, kernel_module, projective_cover,
     projective_indecs, pullback, pushout, quotient_module, simples, socle,

@@ -43,7 +43,7 @@ __all__ = [
     "top", "rad", "socle", "projective_cover", "injective_envelope",
     "pullback", "pushout", "factor_through", "lift_through",
     "check_conflation", "splice",
-    "dual_module", "dual_map", "dual_conflation",
+    "dual_module",
 ]
 
 
@@ -182,14 +182,6 @@ class Algebra:
             self._proj_incls.append(incl.matrix)
 
     # -- structure access ------------------------------------------------
-
-    def left_mult(self):
-        """Left multiplication matrices L_i with columns basis_i * basis_j."""
-        return self._left
-
-    def right_mult(self):
-        """Right multiplication matrices R_i with columns basis_j * basis_i."""
-        return self._right
 
     def mult_by(self, coords: Matrix, side="left") -> Matrix:
         """Multiplication by the element with the given coordinate column."""
@@ -1048,11 +1040,6 @@ def dual_module(M: Module) -> Module:
     return Module(op, M.dim, action, name=f"D({M.name})", _skip_checks=True)
 
 
-def dual_map(f: ModuleMap) -> ModuleMap:
-    return ModuleMap(dual_module(f.target), dual_module(f.source),
-                     f.matrix.transpose(), _skip_checks=True)
-
-
 # ----------------------------------------------------------------------
 # Pullbacks and pushouts
 # ----------------------------------------------------------------------
@@ -1196,9 +1183,3 @@ def splice(a: Conflation, b: Conflation) -> Conflation:
     modules = a.modules[:-1] + b.modules[1:]
     maps = a.maps[:-1] + [joint] + b.maps[1:]
     return Conflation(modules, maps)
-
-
-def dual_conflation(c: Conflation) -> Conflation:
-    mods = [dual_module(m) for m in reversed(c.modules)]
-    maps = [dual_map(f) for f in reversed(c.maps)]
-    return Conflation(mods, maps, _skip_checks=True)

@@ -7,8 +7,9 @@ simultaneously as relative projectives and injectives, every module admits
 unit conflations built from truncated minimal (co)resolutions, and the
 classical case n = 0 is exactly a self-injective algebra.  The detection
 here is empirical: nothing is assumed that is not re-verified by rank
-computations (unit middles are certified relative projective, and so are
-the glued pairs of :mod:`stablext.phantom`).
+computations.  Every unit conflation, whether canonical, padded, glued
+(:mod:`stablext.phantom`) or dual, is certified by its one constructor,
+:class:`UnitConflation`, which checks each middle term relative projective.
 """
 
 from __future__ import annotations
@@ -65,17 +66,32 @@ def gorenstein_parameter(algebra: Algebra, bound: int = 8,
 class UnitConflation:
     """A length-k conflation whose middle terms are certified n-projective.
 
-    ``direction`` is "down" (ends at N: truncated projective resolution) or
-    "up" (starts at N: truncated injective coresolution).  ``element`` is
-    the extension class of the sequence.
+    ``direction`` is "down" (ends at N, shaped like a truncated projective
+    resolution) or "up" (starts at N, shaped like a truncated injective
+    coresolution).  The constructor certifies every middle term with
+    ``ctx.is_n_projective`` and raises :class:`CertificationError` naming
+    N, the degree k and the failing term, numbered as in a resolution
+    (P{k-1} ... P0) or a coresolution (I1 ... Ik).  ``element``, the
+    extension class of the sequence, is computed from the sequence unless
+    it is given.
     """
 
-    def __init__(self, conflation: Conflation, element: ExtElement,
-                 direction: str, anchor: Module):
+    def __init__(self, ctx: "FrobeniusContext", conflation: Conflation,
+                 direction: str, element: ExtElement | None = None):
+        k = conflation.length
+        down = direction == "down"
+        N = conflation.right if down else conflation.left
+        for i, mid in enumerate(conflation.middles):
+            if not ctx.is_n_projective(mid):
+                term = (f"projective middle term P{k - 1 - i}" if down
+                        else f"injective middle term I{i + 1}")
+                raise CertificationError(
+                    f"unit conflation of {N.name or N} in degree {k}: {term} "
+                    f"of dimension {mid.dim} fails relative projectivity")
         self.conflation = conflation
-        self.element = element
         self.direction = direction
-        self.anchor = anchor
+        self.element = (class_from_sequence(ctx.resolver, conflation)
+                        if element is None else element)
 
     @property
     def left(self):
@@ -165,17 +181,10 @@ class FrobeniusContext:
 
     def _unit_down(self, N: Module, k: int) -> UnitConflation:
         res = self.resolver.resolution(N)
-        c = res.truncation(k)
-        for i, mid in enumerate(c.middles):
-            if not self.is_n_projective(mid):
-                raise CertificationError(
-                    f"unit conflation of {N.name or N} in degree {k}: projective "
-                    f"middle term P{k - 1 - i} of dimension {mid.dim} fails "
-                    f"relative projectivity")
         # canonical cocycle: the cover P_k ->> syzygy is the comparison lift
         elt = ExtElement(self.resolver, N, res.syzygy(k), k, res.cover(k),
                          _skip_checks=True)
-        return UnitConflation(c, elt, "down", N)
+        return UnitConflation(self, res.truncation(k), "down", elt)
 
     def unit_up(self, N: Module, k: int) -> UnitConflation:
         """Truncated minimal injective coresolution in U^k(N).
@@ -188,15 +197,8 @@ class FrobeniusContext:
         return self.memo("unit_up", (N,), lambda: self._unit_up(N, k), k)
 
     def _unit_up(self, N: Module, k: int) -> UnitConflation:
-        cores = self.resolver.coresolution(N)
-        c = cores.truncation(k)
-        for mid in c.middles:
-            if not self.is_n_projective(mid):
-                raise CertificationError(
-                    f"injective middle term of dimension {mid.dim} is not "
-                    f"relative projective; Gorenstein certification failed")
-        elt = class_from_sequence(self.resolver, c)
-        return UnitConflation(c, elt, "up", N)
+        return UnitConflation(self, self.resolver.coresolution(N).truncation(k),
+                              "up")
 
     def unit_element(self, M: Module) -> ExtElement:
         """The canonical degree-n unit class on M (the identity when n = 0)."""
@@ -300,10 +302,7 @@ def gorenstein_one_search(bound: int = 8, field=None):
         if kind == "nakayama":
             if nakayama_parameter(kill) != 1:
                 continue
-            try:
-                A = cyclic_nakayama(field, kill)
-            except Exception:
-                continue
+            A = cyclic_nakayama(field, kill)
         else:
             A = t2_dual_numbers(field)
         resolver = Resolver(A, bound=bound + 2)

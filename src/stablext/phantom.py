@@ -9,6 +9,12 @@ kept alongside as a redundant oracle.  On the quotient the composition
 ``beta . gamma := ((beta a) b^{-1}) f`` is computed literally: a right unit
 factorization of gamma, a co-angled pair gluing its unit to the canonical
 one, division by the quasi-invertible leg, and a final pull-back.
+
+Co-angled and angled pairs are one type, :class:`GluedPair`.  The glued
+unit is certified by the :class:`~stablext.frobenius.UnitConflation`
+constructor, and both legs by one check: a deflation (co-angled) or an
+inflation (angled), quasi-invertible, and moving the class of each glued
+unit onto the glued one by pull-back or push-out.
 """
 
 from __future__ import annotations
@@ -19,12 +25,10 @@ from .algmod import (
     direct_sum, factor_through, identity_map, zero_module, zero_map,
 )
 from .frobenius import CertificationError, FrobeniusContext, UnitConflation
-from .resolve import (
-    ExtElement, class_from_sequence, connecting_map, pull_back, push_out,
-)
+from .resolve import ExtElement, connecting_map, pull_back, push_out
 
 __all__ = [
-    "PModSpace", "CoangledPair", "AngledPair", "RingTable",
+    "PModSpace", "GluedPair", "RingTable",
     "p_subspace", "p_member", "p_member_factoring",
     "is_quasi_invertible", "is_phantom", "is_phantom_right",
     "ruf", "luf", "coangled", "angled", "divide_by_sigma",
@@ -188,18 +192,13 @@ def _ruf_unit(ctx: FrobeniusContext, X: Module, k: int, variant: str):
         from .resolve import direct_sum_conflation
         base = ctx.unit_up(X, k).conflation
         pad = _trivial_unit(ctx, ctx.envelope(X).target, k)
-        c = direct_sum_conflation(base, pad)
-        for mid in c.middles:
-            if not ctx.is_n_projective(mid):
-                raise CertificationError("padded unit middle fails certification")
-        elt = class_from_sequence(ctx.resolver, c)
-        return UnitConflation(c, elt, "up", X)
+        return UnitConflation(ctx, direct_sum_conflation(base, pad), "up")
 
     return ctx.memo("ruf_pad", (X,), build, k)
 
 
 def _trivial_unit(ctx: FrobeniusContext, Q: Module, k: int) -> Conflation:
-    """0 -> Q -> Q -> 0 -> ... -> 0, a length-k conflation with unit middles."""
+    """0 -> Q -> Q -> 0 -> ... -> 0, the length-k padding of a unit conflation."""
     Z = zero_module(ctx.algebra)
     mods = [Z, Q, Q] + [Z] * (k - 1)
     maps = [zero_map(Z, Q), identity_map(Q)]
@@ -242,29 +241,24 @@ def luf(ctx: FrobeniusContext, gamma: ExtElement):
 # Angled and co-angled pairs
 # ----------------------------------------------------------------------
 
-class CoangledPair:
-    """delta1 <-a1- delta3 -a2-> delta2 for two unit conflations in U^k(X):
-    the deflations a_i are co-induced by the identity and quasi-invertible,
-    and delta3 = delta_i . a_i as extension classes (verified)."""
+class GluedPair:
+    """Two unit conflations glued through a third, ``delta``.
 
-    def __init__(self, delta3: UnitConflation, a1: ModuleMap, a2: ModuleMap):
-        self.delta = delta3
-        self.a1 = a1
-        self.a2 = a2
+    Co-angled (``delta`` up, in U^k(X)): delta1 <-a1- delta -a2-> delta2,
+    the legs deflations with delta = delta_i . a_i.  Angled (``delta``
+    down, in U_k(N)): delta1 -a1-> delta <-a2- delta2, the legs inflations
+    with a_i . delta_i = delta.  Every leg of a built pair is certified by
+    :func:`_certified_pair`.
+    """
 
-
-class AngledPair:
-    """delta1 -a1-> delta3 <-a2- delta2 for unit conflations in U_k(N):
-    inflations out of the syzygies with a_i . delta_i = delta3 (verified)."""
-
-    def __init__(self, delta3: UnitConflation, a1: ModuleMap, a2: ModuleMap):
-        self.delta = delta3
+    def __init__(self, delta: UnitConflation, a1: ModuleMap, a2: ModuleMap):
+        self.delta = delta
         self.a1 = a1
         self.a2 = a2
 
 
 def coangled(ctx: FrobeniusContext, d1: UnitConflation,
-             d2: UnitConflation) -> CoangledPair:
+             d2: UnitConflation) -> GluedPair:
     """The explicit gluing of two co-unit conflations on the same object.
 
     Direct-sum the middle terms step by step, pad each gluing stage with the
@@ -272,17 +266,48 @@ def coangled(ctx: FrobeniusContext, d1: UnitConflation,
     deflations; both legs are certified quasi-invertible and the class
     identities delta3 = delta_i a_i are checked.
     """
+    return _glue(ctx, d1, d2, "co-angled")
+
+
+def angled(ctx: FrobeniusContext, d1: UnitConflation,
+           d2: UnitConflation) -> GluedPair:
+    """Dual gluing for unit conflations ending at the same object, computed
+    by running the co-angled construction over the opposite algebra."""
+    return _glue(ctx, d1, d2, "angled")
+
+
+def _glue(ctx, d1, d2, kind):
+    co = kind == "co-angled"
     c1, c2 = d1.conflation, d2.conflation
-    if c1.left is not c2.left and c1.left != c2.left:
-        raise ValueError("co-angled pair needs a common left end")
+    e1, e2 = (c1.left, c2.left) if co else (c1.right, c2.right)
+    if e1 is not e2 and e1 != e2:
+        side = "left" if co else "right"
+        raise ValueError(f"{kind} pair needs a common {side} end")
     if c1.length != c2.length:
-        raise ValueError("co-angled pair needs equal lengths")
+        raise ValueError(f"{kind} pair needs equal lengths")
     if d1 is d2:
         # the pair [delta . 1, delta . 1] glues a conflation with itself
-        one = identity_map(c1.right)
-        return CoangledPair(d1, one, one)
-    return ctx.memo("coangled", (d1, d2),
-                     lambda: _coangled_build(ctx, d1, d2))
+        one = identity_map(c1.right if co else c1.left)
+        return GluedPair(d1, one, one)
+    build = _coangled_build if co else _angled_build
+    return ctx.memo(kind, (d1, d2), lambda: build(ctx, d1, d2))
+
+
+def _certified_pair(ctx, delta, d1, a1, d2, a2) -> GluedPair:
+    """The pair once each leg a is certified: a deflation (co-angled) or an
+    inflation (angled), quasi-invertible, and d . a resp. a . d in the
+    class of delta."""
+    co = delta.direction == "up"
+    kind, shape = ("co-angled", "a deflation") if co else ("angled", "an inflation")
+    for a, d in ((a1, d1), (a2, d2)):
+        if not (a.is_surjective() if co else a.is_injective()):
+            raise CertificationError(f"{kind} leg is not {shape}")
+        if not is_quasi_invertible(ctx, a):
+            raise CertificationError(f"{kind} leg is not quasi-invertible")
+        moved = pull_back(d.element, a) if co else push_out(a, d.element)
+        if not moved.same_class(delta.element):
+            raise CertificationError(f"{kind} class identity failed")
+    return GluedPair(delta, a1, a2)
 
 
 def _stage_data(c: Conflation):
@@ -331,68 +356,24 @@ def _coangled_build(ctx, d1, d2):
         a2 = factor_through((s2[t][1] * projs[1], q))
     mods.append(L)
     maps.append(q)
-    conf = Conflation(mods, maps)
-    elt = class_from_sequence(ctx.resolver, conf)
-    delta3 = UnitConflation(conf, elt, "up", X)
-    for mid in conf.middles:
-        if not ctx.is_n_projective(mid):
-            raise CertificationError("glued middle term fails certification")
-    for a, d in ((a1, d1), (a2, d2)):
-        if not a.is_surjective():
-            raise CertificationError("co-angled leg is not a deflation")
-        if not is_quasi_invertible(ctx, a):
-            raise CertificationError("co-angled leg is not quasi-invertible")
-        if not pull_back(d.element, a).same_class(elt):
-            raise CertificationError("co-angled class identity failed")
-    return CoangledPair(delta3, a1, a2)
-
-
-def angled(ctx: FrobeniusContext, d1: UnitConflation,
-           d2: UnitConflation) -> AngledPair:
-    """Dual gluing for unit conflations ending at the same object, computed
-    by running the co-angled construction over the opposite algebra."""
-    c1, c2 = d1.conflation, d2.conflation
-    if c1.right is not c2.right and c1.right != c2.right:
-        raise ValueError("angled pair needs a common right end")
-    if d1 is d2:
-        one = identity_map(c1.left)
-        return AngledPair(d1, one, one)
-    return ctx.memo("angled", (d1, d2),
-                     lambda: _angled_build(ctx, d1, d2))
+    delta3 = UnitConflation(ctx, Conflation(mods, maps), "up")
+    return _certified_pair(ctx, delta3, d1, a1, d2, a2)
 
 
 def _angled_build(ctx, d1, d2):
-    op = ctx.opposite()
-    D1 = _dual_unit(ctx, d1)
-    D2 = _dual_unit(ctx, d2)
-    pair = coangled(op, D1, D2)
-    conf = ctx.resolver.dual_conflation(pair.delta.conflation)
-    elt = class_from_sequence(ctx.resolver, conf)
-    delta3 = UnitConflation(conf, elt, "down", conf.right)
-    a1 = ctx.resolver.dual_map(pair.a1)
-    a2 = ctx.resolver.dual_map(pair.a2)
-    for mid in conf.middles:
-        if not ctx.is_n_projective(mid):
-            raise CertificationError("glued middle term fails certification")
-    for a, d in ((a1, d1), (a2, d2)):
-        if not a.is_injective():
-            raise CertificationError("angled leg is not an inflation")
-        if not is_quasi_invertible(ctx, a):
-            raise CertificationError("angled leg is not quasi-invertible")
-        if not push_out(a, d.element).same_class(elt):
-            raise CertificationError("angled class identity failed")
-    return AngledPair(delta3, a1, a2)
+    pair = coangled(ctx.opposite(), _dual_unit(ctx, d1), _dual_unit(ctx, d2))
+    resolver = ctx.resolver
+    delta3 = UnitConflation(ctx, resolver.dual_conflation(pair.delta.conflation),
+                            "down")
+    return _certified_pair(ctx, delta3, d1, resolver.dual_map(pair.a1),
+                           d2, resolver.dual_map(pair.a2))
 
 
 def _dual_unit(ctx, d: UnitConflation) -> UnitConflation:
-    def build():
-        op = ctx.opposite()
-        conf = ctx.resolver.dual_conflation(d.conflation)
-        elt = class_from_sequence(op.resolver, conf)
-        return UnitConflation(conf, elt, "up" if d.direction == "down" else "down",
-                              conf.left if d.direction == "down" else conf.right)
-
-    return ctx.memo("dualunit", (d,), build)
+    """d dualized: a unit over the opposite algebra, certified there."""
+    return ctx.memo("dualunit", (d,), lambda: UnitConflation(
+        ctx.opposite(), ctx.resolver.dual_conflation(d.conflation),
+        "up" if d.direction == "down" else "down"))
 
 
 # ----------------------------------------------------------------------
@@ -400,25 +381,25 @@ def _dual_unit(ctx, d: UnitConflation) -> UnitConflation:
 # ----------------------------------------------------------------------
 
 def divide_by_sigma(ctx: FrobeniusContext, b: ModuleMap, side: str,
-                    target: Module, coords: Matrix, source_end: Module) -> Matrix:
+                    end: Module, coords: Matrix) -> Matrix:
     """Solve for the coset with (result . b) resp. (b . result) equal to the
     given class modulo P; unique because quasi-invertibles act invertibly.
 
-    For side "right": b: V -> W, result in Ext^n(W, target)/P with
-    pull-back along b landing on ``coords`` (coordinates of Ext^n(V, target)/P).
-    For side "left": b: V -> W, result in Ext^n(source_end, V)/P with
-    push-out along b landing on ``coords``.
+    For side "right": b: V -> W, result in Ext^n(W, end)/P with pull-back
+    along b landing on ``coords`` (coordinates of Ext^n(V, end)/P).
+    For side "left": b: V -> W, result in Ext^n(end, V)/P with push-out
+    along b landing on ``coords`` (coordinates of Ext^n(end, W)/P).
     """
     def build():
         F = ctx.algebra.field
         if side == "right":
-            src_space = p_subspace(ctx, b.target, target)
-            dst_space = p_subspace(ctx, b.source, target)
+            src_space = p_subspace(ctx, b.target, end)
+            dst_space = p_subspace(ctx, b.source, end)
             cols = [dst_space.qcoords(pull_back(g, b)).a
                     for g in src_space.basis_representatives()]
         elif side == "left":
-            src_space = p_subspace(ctx, source_end, b.source)
-            dst_space = p_subspace(ctx, source_end, b.target)
+            src_space = p_subspace(ctx, end, b.source)
+            dst_space = p_subspace(ctx, end, b.target)
             cols = [dst_space.qcoords(push_out(b, g)).a
                     for g in src_space.basis_representatives()]
         else:
@@ -429,7 +410,7 @@ def divide_by_sigma(ctx: FrobeniusContext, b: ModuleMap, side: str,
                 "quasi-invertible does not act invertibly on Ext^n/P")
         return mat, src_space
 
-    mat, src_space = ctx.memo("divmat", (b, target, source_end), build, side)
+    mat, src_space = ctx.memo("divmat", (b, end), build, side)
     x = solve(mat, coords)
     if x is None:
         raise CertificationError(
@@ -463,8 +444,7 @@ def compose_mod_p(ctx: FrobeniusContext, N: Module, K: Module,
     a1, b1 = pair.a1, pair.a2
     beta_a1 = pull_back(beta, a1)
     mid_space = p_subspace(ctx, a1.source, OmK)
-    divided = divide_by_sigma(ctx, b1, "right", OmK,
-                              mid_space.qcoords(beta_a1), b1.source)
+    divided = divide_by_sigma(ctx, b1, "right", OmK, mid_space.qcoords(beta_a1))
     E_space = p_subspace(ctx, b1.target, OmK)
     beta_prime = E_space.representative(divided)
     return out_space.qcoords(pull_back(beta_prime, f))

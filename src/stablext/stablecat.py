@@ -132,8 +132,7 @@ def normalize(ctx: FrobeniusContext, gamma: ExtElement,
     a, b = pair.a1, pair.a2
     pushed = push_out(b, gamma)
     mid = p_subspace(ctx, gamma.M, b.target)
-    coords = divide_by_sigma(ctx, a, "left", a.target,
-                             mid.qcoords(pushed), gamma.M)
+    coords = divide_by_sigma(ctx, a, "left", gamma.M, mid.qcoords(pushed))
     return space.morphism(coords)
 
 
@@ -178,11 +177,9 @@ class OmegaIso:
                     "syzygy hom-spaces have different dimensions")
             self.matrix = Matrix.zeros(F, self.target.dim, self.source.dim)
             return
-        resN = resolver.resolution(N)
-        from .algmod import Conflation
-        c1 = Conflation([resN.syzygy(n + 1), resN.term(n), resN.syzygy(n)],
-                        [resN.incl(n), resN.cover(n)], _skip_checks=True)
-        conn1 = connecting_map(resolver, c1, M, n, covariant=True)
+        # first leg: the connecting map along syz^{n+1} N -> P_n -> syz^n N,
+        # the one the source's subfunctor P is the kernel of
+        conn1 = self.source.pmod.connecting
         up = conn1.matrix * self.source.pmod.reps_p
         # second leg: the contravariant connecting along syz M -> P_0 -> M,
         # inverted on the quotient by P

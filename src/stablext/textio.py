@@ -30,9 +30,11 @@ Grammar (one record per line, ``#`` starts a comment, blank lines ignored)::
     rows <row> ; <row> ; ...                # dst.dim rows of src.dim entries
     end
 
-Scalars are integers or fractions ``p/q``.  Every loaded object passes the
-full structural validation of its constructor before registration, and
-parse errors carry line numbers.
+Scalars are integers or fractions ``p/q``.  Module and map names are
+unique, labels are one per basis element and distinct, and no section
+repeats its ``dim``, ``labels``, ``act <label>`` or ``rows`` line.  Every
+loaded object passes the full structural validation of its constructor
+before registration, and parse errors carry line numbers.
 """
 
 from __future__ import annotations
@@ -147,6 +149,10 @@ def loads_workspace(text: str, length_bound: int = 12) -> Workspace:
         if ws is None:
             raise ParseError(lineno, "no algebra defined yet")
 
+    def need_new_name(lineno, name):
+        if name in ws.modules or name in ws.maps:
+            raise ParseError(lineno, f"duplicate object name {name!r}")
+
     while pos < len(lines):
         lineno, line = lines[pos]
         toks = line.split()
@@ -174,12 +180,14 @@ def loads_workspace(text: str, length_bound: int = 12) -> Workspace:
             need_ws(lineno)
             if len(toks) != 2:
                 raise ParseError(lineno, "expected 'module <name>'")
+            need_new_name(lineno, toks[1])
             pos, M = _parse_module(ws.algebra, toks[1], lines, pos + 1)
             ws.add_module(toks[1], M)
         elif head == "map":
             need_ws(lineno)
             if len(toks) != 4:
                 raise ParseError(lineno, "expected 'map <name> <src> <dst>'")
+            need_new_name(lineno, toks[1])
             for m in toks[2:]:
                 if m not in ws.modules:
                     raise ParseError(lineno, f"map {toks[1]}: unknown module {m!r}")
@@ -267,7 +275,15 @@ def _parse_table(field, lines, pos):
         elif dim is None:
             raise ParseError(lineno, f"'dim' must precede {toks[0]!r}")
         elif toks[0] == "labels":
+            if labels is not None:
+                raise ParseError(lineno, "'labels' given twice")
             labels = toks[1:]
+            if len(labels) != dim:
+                raise ParseError(lineno, f"labels: expected {dim} labels, "
+                                         f"got {len(labels)}")
+            twice = [label for label in labels if labels.count(label) > 1]
+            if twice:
+                raise ParseError(lineno, f"labels: {twice[0]!r} given twice")
         elif toks[0] == "unit":
             unit = _coords(field, toks[1:], dim, lineno, "unit")
         elif toks[0] == "e":
@@ -317,6 +333,8 @@ def _parse_module(algebra, name, lines, pos):
     body, end, pos = _section(lines, pos, "module")
     for lineno, toks in body:
         if toks[0] == "dim":
+            if dim is not None:
+                raise ParseError(lineno, "'dim' given twice")
             dim = _dim(toks, lineno)
         elif toks[0] == "act":
             if dim is None:
@@ -328,6 +346,8 @@ def _parse_module(algebra, name, lines, pos):
                 b = algebra.label_index(label)
             except AlgebraError as e:
                 raise ParseError(lineno, str(e)) from None
+            if b in action:
+                raise ParseError(lineno, f"'act {label}' given twice")
             if dim == 0:
                 action[b] = Matrix.zeros(algebra.field, 0, 0)
             else:
@@ -357,6 +377,8 @@ def _parse_map(ws, name, src, dst, lines, pos):
     body, end, pos = _section(lines, pos, "map")
     for lineno, toks in body:
         if toks[0] == "rows":
+            if matrix is not None:
+                raise ParseError(lineno, "'rows' given twice")
             if N.dim == 0 or M.dim == 0:
                 matrix = Matrix.zeros(ws.algebra.field, N.dim, M.dim)
             else:

@@ -377,8 +377,8 @@ def test_splice_associative(dn):
 def test_dual_conflation(dn):
     c = unit_conflation_dual_numbers(dn)
     d = dual_module(c.left)
-    from stablext.algmod import dual_conflation
-    dc = dual_conflation(c)
+    from stablext.resolve import Resolver
+    dc = Resolver(dn).dual_conflation(c)
     dc._validate()
     assert dc.left.algebra is dn.opposite()
 

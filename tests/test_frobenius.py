@@ -246,6 +246,20 @@ def test_search_skips_every_nakayama_candidate_unbuilt(monkeypatch):
     assert A.regular_module().key == t2_dual_numbers(GF(2)).regular_module().key
 
 
+def test_search_propagates_a_failed_candidate_build(monkeypatch):
+    # a candidate the oracle puts at parameter 1 is built; failing to build
+    # it is a program error, not a reason to skip it
+    import stablext.fixtures as fixtures
+
+    def broken(field, kill):
+        raise RuntimeError(f"cannot build Nakayama{kill}")
+
+    monkeypatch.setattr(fixtures, "nakayama_parameter", lambda kill: 1)
+    monkeypatch.setattr(fixtures, "cyclic_nakayama", broken)
+    with pytest.raises(RuntimeError, match=r"cannot build Nakayama\(2,\)"):
+        gorenstein_one_search()
+
+
 def test_search_over_gf3_and_below_bound_one():
     A = gorenstein_one_search(field=GF(3))
     assert A.field == GF(3)

@@ -12,7 +12,7 @@ from stablext.fixtures import (
     dual_numbers, hereditary_a2, indecomposable_inventory, t2_dual_numbers,
     trunc_poly,
 )
-from stablext.frobenius import FrobeniusContext
+from stablext.frobenius import CertificationError, FrobeniusContext
 from stablext.phantom import (
     angled, coangled, compose_mod_p, divide_by_sigma, ext_ring,
     is_phantom, is_phantom_right, is_quasi_invertible, luf,
@@ -326,6 +326,35 @@ def test_coangled_distinct_units(t2_ctx):
     assert is_quasi_invertible(ctx, pair.a2)
 
 
+@pytest.mark.parametrize("unit", ["unit_up", "padded", "co-angled"])
+def test_unit_failure_names_end_degree_and_term(t2_ctx, monkeypatch, unit):
+    # every unit is certified by its constructor, with one message: the
+    # canonical co-unit, the padded unit of a right unit factorization and
+    # the glued unit of a co-angled pair
+    ctx = FrobeniusContext(t2_ctx.algebra, _known_n=t2_ctx.n)
+    S = simples(ctx.algebra)[0]
+    I1 = ctx.resolver.coresolution(S).term(1)
+    if unit == "unit_up":
+        X, dim = S.name, I1.dim
+        build = lambda: ctx.unit_up(S, 1)
+    elif unit == "padded":
+        ctx.unit_up(S, 1)
+        # the padded unit starts at S (+) 0, the direct sum of the two ends
+        X, dim = f"{S.name}(+)0", I1.dim + ctx.envelope(S).target.dim
+        build = lambda: phantom._ruf_unit(ctx, S, 1, "padded")
+    else:
+        d1, d2 = ctx.unit_down(S, 1), ctx.unit_up(ctx.syz(S), 1)
+        X = ctx.syz(S).name
+        dim = d1.conflation.modules[1].dim + d2.conflation.modules[1].dim
+        build = lambda: coangled(ctx, d1, d2)
+    monkeypatch.setattr(ctx, "is_n_projective", lambda M: False)
+    with pytest.raises(CertificationError) as err:
+        build()
+    assert str(err.value) == (
+        f"unit conflation of {X} in degree 1: injective middle "
+        f"term I1 of dimension {dim} fails relative projectivity")
+
+
 def test_angled_distinct_units(t2_ctx):
     ctx = t2_ctx
     S = simples(ctx.algebra)[0]
@@ -362,7 +391,7 @@ def test_angled_nontrivial(t2_ctx):
 
 def _padded_down_unit(ctx, N):
     # a second length-1 unit ending at N: pad left and middle with Q -> Q -> 0
-    from stablext.resolve import direct_sum_conflation, class_from_sequence
+    from stablext.resolve import direct_sum_conflation
     from stablext.frobenius import UnitConflation
     from stablext.algmod import Conflation, zero_module
     assert ctx.n == 1
@@ -370,9 +399,7 @@ def _padded_down_unit(ctx, N):
     Q = projective_indecs(ctx.algebra)[0]
     Z = zero_module(ctx.algebra)
     pad = Conflation([Q, Q, Z], [identity_map(Q), zero_map(Q, Z)])
-    c = direct_sum_conflation(base, pad)
-    elt = class_from_sequence(ctx.resolver, c)
-    return UnitConflation(c, elt, "down", c.right)
+    return UnitConflation(ctx, direct_sum_conflation(base, pad), "down")
 
 
 # -- division -----------------------------------------------------------------------
@@ -384,7 +411,7 @@ def test_divide_by_identity(t2_ctx):
     pm = p_subspace(ctx, S, OmS)
     if pm.dim:
         coords = pm.qcoords(pm.basis_representatives()[0])
-        out = divide_by_sigma(ctx, identity_map(S), "right", OmS, coords, S)
+        out = divide_by_sigma(ctx, identity_map(S), "right", OmS, coords)
         assert out == coords
 
 
@@ -393,7 +420,7 @@ def test_divide_zero(t2_ctx):
     S = simples(ctx.algebra)[0]
     OmS = ctx.syz(S)
     pm = p_subspace(ctx, S, OmS)
-    out = divide_by_sigma(ctx, identity_map(S), "right", OmS, pm.zero(), S)
+    out = divide_by_sigma(ctx, identity_map(S), "right", OmS, pm.zero())
     assert out.is_zero()
 
 
@@ -410,7 +437,7 @@ def test_divide_round_trip(t2_ctx):
     dst = p_subspace(ctx, b.source, OmS)
     for g in src.basis_representatives():
         coords = dst.qcoords(pull_back(g, b))
-        back = divide_by_sigma(ctx, b, "right", OmS, coords, S)
+        back = divide_by_sigma(ctx, b, "right", OmS, coords)
         assert back == src.qcoords(g)
 
 

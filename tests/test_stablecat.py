@@ -182,7 +182,7 @@ def test_normalize_canonical_identity(t2_ctx):
 
 
 def test_normalize_padded_anchor_round_trip(t2_ctx):
-    from stablext.resolve import class_from_sequence, direct_sum_conflation
+    from stablext.resolve import direct_sum_conflation
     from stablext.frobenius import UnitConflation
     from stablext.phantom import _trivial_unit
     ctx = t2_ctx
@@ -192,8 +192,7 @@ def test_normalize_padded_anchor_round_trip(t2_ctx):
     Z = zero_module(ctx.algebra)
     pad = Conflation([Q, Q, Z], [identity_map(Q), zero_map(Q, Z)])
     c = direct_sum_conflation(ctx.unit_down(S, 1).conflation, pad)
-    anchor = UnitConflation(c, class_from_sequence(ctx.resolver, c), "down",
-                            c.right)
+    anchor = UnitConflation(ctx, c, "down")
     sp = stable_hom(ctx, S, S)
     # an element anchored at the padded unit: push the canonical basis out
     # along the block inclusion syz S -> syz S (+) Q
@@ -362,8 +361,7 @@ def test_t2_stable_dim_table_frozen(t2_ctx):
 
 def test_normalization_additive(t2_ctx):
     # moving anchors commutes with the Baer sum
-    from stablext.resolve import baer_sum, class_from_sequence, \
-        direct_sum_conflation, push_out
+    from stablext.resolve import baer_sum, direct_sum_conflation, push_out
     from stablext.frobenius import UnitConflation
     from stablext.algmod import Conflation, direct_sum, zero_module
     ctx = t2_ctx
@@ -372,8 +370,7 @@ def test_normalization_additive(t2_ctx):
     Z = zero_module(ctx.algebra)
     pad = Conflation([Q, Q, Z], [identity_map(Q), zero_map(Q, Z)])
     c = direct_sum_conflation(ctx.unit_down(S, 1).conflation, pad)
-    anchor = UnitConflation(c, class_from_sequence(ctx.resolver, c), "down",
-                            c.right)
+    anchor = UnitConflation(ctx, c, "down")
     OmS = ctx.syz(S)
     Ssum, injs, _ = direct_sum([OmS, Q])
     incl = injs[0]

@@ -1,3 +1,5 @@
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -173,6 +175,40 @@ def test_scalar_label_and_name_errors_name_their_line(tmp_path, capsys, text,
     assert capsys.readouterr().err == f"error: line {lineno}: {message}\n"
 
 
+_TABLE_DN = _TABLE + ("dim 2\n{labels}unit 1 0\ne 1 1 0\nmult 0 0 -> 1 0\n"
+                      "mult 0 1 -> 0 1\nmult 1 0 -> 0 1\nradical 0 1\nend\n")
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    pytest.param(_SECTION_BASE + _MODULE_S + _MODULE_S, 12,
+                 "duplicate object name 'S'", id="module-twice"),
+    pytest.param(_SECTION_BASE + _MODULE_S + "map S S S\nrows 1\nend\n", 12,
+                 "duplicate object name 'S'", id="map-named-like-module"),
+    pytest.param(_SECTION_BASE + _MODULE_S + "map f S S\nrows 1\nend\n" * 2, 15,
+                 "duplicate object name 'f'", id="map-twice"),
+    pytest.param(_SECTION_BASE + "module S\ndim 1\nact e_v 1\nact x 0\nact x 0\n"
+                 "end\n", 11, "'act x' given twice", id="act-twice"),
+    pytest.param(_SECTION_BASE + "module S\ndim 1\ndim 1\nact e_v 1\nact x 0\n"
+                 "end\n", 9, "'dim' given twice", id="module-dim-twice"),
+    pytest.param(_SECTION_BASE + _MODULE_S + "map f S S\nrows 1\nrows 0\nend\n",
+                 14, "'rows' given twice", id="rows-twice"),
+    pytest.param(_TABLE_DN.format(labels="labels a\n"), 4,
+                 "labels: expected 2 labels, got 1", id="labels-too-few"),
+    pytest.param(_TABLE_DN.format(labels="labels a a\n"), 4,
+                 "labels: 'a' given twice", id="label-twice"),
+    pytest.param(_TABLE_DN.format(labels="labels a b\nlabels c d\n"), 5,
+                 "'labels' given twice", id="labels-line-twice"),
+])
+def test_duplicates_name_their_line(tmp_path, capsys, text, lineno, message):
+    # a name, a module's 'dim' and 'act <label>', a map's 'rows', a table's
+    # 'labels' line and each label appear once; a table has one label per
+    # basis element
+    f = tmp_path / "bad.txt"
+    f.write_text(text, encoding="utf-8")
+    assert main(["--load", str(f), "check"]) == 2
+    assert capsys.readouterr().err == f"error: line {lineno}: {message}\n"
+
+
 def test_context_follows_its_arguments():
     ws = loads_workspace(DUAL_NUMBERS_FILE)
     assert ws.context().bound == 2 * ws.context().n + 4
@@ -314,6 +350,23 @@ def test_cli_suite_subset():
     lines = [l for l in out.splitlines() if l.startswith("[")]
     assert len(lines) == 2
     assert all(l.startswith("[PASS]") for l in lines)
+
+
+def _readme_command_lines():
+    """Arguments of each ``stablext`` line in README's Command line block,
+    except those that load a user's file and the full suite."""
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line.split("#", 1)[0]) for line in block.splitlines()]
+    return [args[1:] for args in lines
+            if args[:1] == ["stablext"] and "--load" not in args
+            and args[1:] != ["suite"]]
+
+
+@pytest.mark.parametrize("args", _readme_command_lines(), ids=" ".join)
+def test_readme_command_lines_exit_0(args, capsys):
+    assert main(args) == 0
 
 
 def test_console_entry_point():
