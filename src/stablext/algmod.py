@@ -2,12 +2,16 @@
 
 An :class:`Algebra` is given by a multiplication table on a fixed basis,
 together with a complete set of orthogonal primitive idempotents and a
-spanning set of its radical; every structural axiom is verified at
-construction time, and everything derived from the table (the opposite
-algebra, the regular module, the projectives) is built there too, so
-threads may share an algebra.  Algebras are built either from a bound
+spanning set of its radical; every structural axiom of the given table is
+verified at construction time, and everything derived from the table (the
+opposite algebra, the regular module, the projectives) is built there too,
+so threads may share an algebra.  Algebras are built either from a bound
 quiver (:func:`algebra_from_quiver`) or from an explicit table
 (:func:`algebra_from_table`).
+
+What a caller hands in is validated once, a solve is certified by the
+helper that makes it, and structure derived from validated structure is
+built unchecked; ``tests/test_validate_once.py`` runs each skipped check.
 
 Modules are representations: one action matrix per algebra basis element.
 Morphisms are intertwining matrices.  All constructions (kernels, images,
@@ -127,8 +131,9 @@ class Algebra:
     forced by the split basic count dim A - dim J = r, checked below).
 
     The constructor validates the table, then builds everything derived
-    from it once: the multiplication matrices, the opposite algebra (linked
-    both ways, so ``A.opposite().opposite() is A``), the generators, the
+    from it once and without re-checking: the multiplication matrices, the
+    opposite algebra (associative exactly when this one is, and linked both
+    ways, so ``A.opposite().opposite() is A``), the generators, the
     semisimple coefficients, the regular module and the indecomposable
     projectives with their inclusions.  Nothing is filled in later, so
     threads may share an algebra.
@@ -153,7 +158,8 @@ class Algebra:
                     raise AlgebraError(f"product coordinates ({i},{j}) have wrong length")
         self._left = self._mult_matrices(lambda i, j: table[i][j])
         self._right = self._mult_matrices(lambda i, j: table[j][i])
-        self._validate()
+        if _opposite is None:  # A^op is an algebra exactly when A is
+            self._validate()
         # the opposite gets this algebra as its own opposite, so it does not
         # build another
         self._op = _opposite or Algebra(
@@ -172,12 +178,13 @@ class Algebra:
         if X is None or B.cols != d:
             raise AlgebraError("idempotents + radical do not form a basis")
         self._semisimple_coeffs = Matrix(field, X.a[:self.n_idempotents, :])
-        self._regular = reg = Module(self, d, self._left, name=name or "A")
+        self._regular = reg = Module(self, d, self._left, name=name or "A",
+                                     _skip_checks=True)
         # P_i = A e_i, the image of a |-> a e_i, with its inclusion into A
         self._projs, self._proj_incls = [], []
         for i, e in enumerate(self.idempotents):
-            P, incl, _ = image_module(ModuleMap(reg, reg, self.mult_by(e, "right")),
-                                      name=f"P{i + 1}")
+            P, incl = submodule(reg, column_space_basis(self.mult_by(e, "right")),
+                                name=f"P{i + 1}")
             self._projs.append(P)
             self._proj_incls.append(incl.matrix)
 
@@ -741,7 +748,7 @@ def hom_space(M: Module, N: Module):
     out = []
     for k in range(K.cols):
         mat = Matrix(F, K.a[:, k].reshape(N.dim, M.dim).copy())
-        out.append(ModuleMap(M, N, mat))
+        out.append(ModuleMap(M, N, mat, _skip_checks=True))
     return out
 
 
@@ -909,7 +916,7 @@ def simples(A: Algebra):
     for i in range(A.n_idempotents):
         action = [Matrix(A.field, np.array([[coeffs.a[i, b]]], dtype=coeffs.a.dtype))
                   for b in range(A.dim)]
-        out.append(Module(A, 1, action, name=f"S{i + 1}"))
+        out.append(Module(A, 1, action, name=f"S{i + 1}", _skip_checks=True))
     return out
 
 
@@ -992,7 +999,7 @@ def projective_cover(M: Module):
         raise ModuleError(f"{M.name}: zero top on a nonzero module")
     P, _, _ = direct_sum(summands, name=f"P({M.name})")
     mat = Matrix(F, np.hstack(blocks))
-    f = ModuleMap(P, M, mat)
+    f = ModuleMap(P, M, mat, _skip_checks=True)
     if not f.is_surjective():
         raise ModuleError(f"{where}: lift is not surjective")
     # kernel inside rad P, tested on the span of the columns of J.P
@@ -1009,11 +1016,10 @@ def injective_envelope(M: Module):
     Computed as the dual of the projective cover of the dual module over the
     opposite algebra.
     """
-    A = M.algebra
     DM = dual_module(M)
     P, cov = projective_cover(DM)
     I = dual_module(P)
-    inflation = ModuleMap(M, I, cov.matrix.transpose())
+    inflation = ModuleMap(M, I, cov.matrix.transpose(), _skip_checks=True)
     if not inflation.is_injective():
         raise ModuleError("injective envelope is not injective")
     return I, inflation

@@ -124,20 +124,18 @@ class FrobeniusContext:
 
     def __init__(self, algebra: Algebra, bound: int | None = None,
                  detection_bound: int = 8, _resolver: Resolver | None = None,
-                 _known_n: int | None = None,
                  _opposite: "FrobeniusContext | None" = None):
         self.algebra = algebra
         self.resolver = _resolver or Resolver(algebra,
                                               bound=max(detection_bound + 2,
                                                         bound or 0))
-        if _known_n is not None:
-            n = _known_n
-        else:
-            n = gorenstein_parameter(algebra, detection_bound, self.resolver)
-            if n is None:
-                raise CertificationError(
-                    f"{algebra.name or algebra}: regular module has injective "
-                    f"dimension beyond {detection_bound} on some side")
+        # the opposite context shares the parameter of the one that built it
+        n = (_opposite.n if _opposite is not None
+             else gorenstein_parameter(algebra, detection_bound, self.resolver))
+        if n is None:
+            raise CertificationError(
+                f"{algebra.name or algebra}: regular module has injective "
+                f"dimension beyond {detection_bound} on some side")
         self.n = n
         self.bound = bound if bound is not None else 2 * n + 4
         self.resolver.bound = max(self.resolver.bound, self.bound)
@@ -145,7 +143,7 @@ class FrobeniusContext:
         self.memo = Memo(self.resolver._lock)
         self._opposite = _opposite or FrobeniusContext(
             algebra.opposite(), bound=self.bound,
-            _resolver=self.resolver.opposite(), _known_n=n, _opposite=self)
+            _resolver=self.resolver.opposite(), _opposite=self)
 
     def opposite(self) -> "FrobeniusContext":
         """The mirror context over the opposite algebra (same parameter)."""

@@ -408,9 +408,9 @@ def divide_by_sigma(ctx: FrobeniusContext, b: ModuleMap, side: str,
         if kernel_basis(mat).cols != 0:
             raise CertificationError(
                 "quasi-invertible does not act invertibly on Ext^n/P")
-        return mat, src_space
+        return mat
 
-    mat, src_space = ctx.memo("divmat", (b, end), build, side)
+    mat = ctx.memo("divmat", (b, end), build, side)
     x = solve(mat, coords)
     if x is None:
         raise CertificationError(

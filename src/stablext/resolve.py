@@ -459,9 +459,10 @@ class ExtSpace:
         return self.proj_q * z
 
     def element_from_coords(self, coords: Matrix) -> "ExtElement":
+        # Z spans the cocycles, so Z.x is one
         z = self.Z * (self.reps_q * coords)
         return ExtElement(self.resolver, self.M, self.N, self.n,
-                          self.hom.combine(z))
+                          self.hom.combine(z), _skip_checks=True)
 
     def basis_elements(self):
         F = self.resolver.algebra.field

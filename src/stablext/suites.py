@@ -82,12 +82,15 @@ class _Fixtures:
         return self.items[-1]
 
 
+def _rand_column(rng, F, d) -> Matrix:
+    """d seeded coefficients: uniform over F_p, from -2..2 over Q."""
+    return Matrix.column(F, [rng.randrange(F.p) if F.is_prime_field
+                             else rng.randint(-2, 2) for _ in range(d)])
+
+
 def _rand_hom(ctx, rng, M, N) -> ModuleMap:
-    F = ctx.algebra.field
     hb = ctx.resolver.hom_basis(M, N)
-    return hb.combine(Matrix.column(F, [
-        rng.randrange(F.p) if F.is_prime_field else rng.randint(-2, 2)
-        for _ in hb.maps]))
+    return hb.combine(_rand_column(rng, ctx.algebra.field, hb.dim))
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +206,7 @@ def _invertible_action(ctx, f, X):
 def criterion_5(fx, rng, samples=100):
     """composition is independent of the right unit factorization"""
     name, ctx, inv = fx.discovered
+    F = ctx.algebra.field
     pool = [m for m in inv if not ctx.is_n_projective(m)]
     done = 0
     while done < samples:
@@ -211,23 +215,14 @@ def criterion_5(fx, rng, samples=100):
         pmNK = p_subspace(ctx, N, ctx.syz(K))
         if pmMN.dim == 0 or pmNK.dim == 0:
             continue
-        gamma = pmMN.representative(_rand_coords(rng, ctx, pmMN.dim))
-        beta = pmNK.representative(_rand_coords(rng, ctx, pmNK.dim))
+        gamma = pmMN.representative(_rand_column(rng, F, pmMN.dim))
+        beta = pmNK.representative(_rand_column(rng, F, pmNK.dim))
         a = compose_mod_p(ctx, N, K, beta, gamma, ruf_variant="canonical")
         b = compose_mod_p(ctx, N, K, beta, gamma, ruf_variant="padded")
         if a != b:
             return False, f"{name}: RUF variants disagree on ({M.name},{N.name},{K.name})"
         done += 1
     return True, f"{done} seeded (beta, gamma) pairs, both factorizations equal"
-
-
-def _rand_coords(rng, ctx, d):
-    F = ctx.algebra.field
-    m = Matrix.zeros(F, d, 1)
-    for i in range(d):
-        m.a[i, 0] = F.of(rng.randrange(F.p) if F.is_prime_field
-                         else rng.randint(-2, 2))
-    return m
 
 
 def criterion_6(fx, rng, per_module=12):
@@ -370,8 +365,8 @@ def criterion_11(fx, rng):
         deg = max(ctx.n, 1)
         for M in inv:
             for N in inv:
-                space = ctx.resolver.ext(M, N, deg)
-                for gamma in space.basis_elements():
+                basis = ctx.resolver.ext(M, N, deg).basis_elements()
+                for gamma in basis:
                     seq = gamma.sequence()
                     back = class_from_sequence(ctx.resolver, seq)
                     if not back.same_class(gamma):
@@ -388,7 +383,7 @@ def criterion_11(fx, rng):
                         ctx.resolver, pushout_sequence(l, seq))
                     if not lhs.same_class(rhs):
                         return False, f"{name}: push-out oracle fails"
-                    other = space.basis_elements()[0]
+                    other = basis[0]
                     lhs = baer_sum(gamma, other)
                     rhs = class_from_sequence(
                         ctx.resolver,

@@ -149,7 +149,7 @@ def test_unit_up_simple(dn_ctx):
 
 def test_unit_down_failure_names_module_and_step(t2_ctx, monkeypatch):
     # a fresh context, so no cached unit conflation answers for it
-    ctx = FrobeniusContext(t2_ctx.algebra, _known_n=t2_ctx.n)
+    ctx = FrobeniusContext(t2_ctx.algebra)
     S = simples(ctx.algebra)[0]
     monkeypatch.setattr(ctx, "is_n_projective", lambda M: False)
     P1 = ctx.resolver.resolution(S).term(1)

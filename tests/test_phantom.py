@@ -331,7 +331,7 @@ def test_unit_failure_names_end_degree_and_term(t2_ctx, monkeypatch, unit):
     # every unit is certified by its constructor, with one message: the
     # canonical co-unit, the padded unit of a right unit factorization and
     # the glued unit of a co-angled pair
-    ctx = FrobeniusContext(t2_ctx.algebra, _known_n=t2_ctx.n)
+    ctx = FrobeniusContext(t2_ctx.algebra)
     S = simples(ctx.algebra)[0]
     I1 = ctx.resolver.coresolution(S).term(1)
     if unit == "unit_up":
