@@ -12,6 +12,10 @@ quiver (:func:`algebra_from_quiver`) or from an explicit table
 What a caller hands in is validated once, a solve is certified by the
 helper that makes it, and structure derived from validated structure is
 built unchecked; ``tests/test_validate_once.py`` runs each skipped check.
+A syzygy step spends one elimination per fact it needs: a kernel reads
+its action off the free rows of its canonical basis, a submodule
+certifies independence and stability with one elimination, and a
+projective cover certifies itself with one rank on the top.
 
 Modules are representations: one action matrix per algebra basis element.
 Morphisms are intertwining matrices.  All constructions (kernels, images,
@@ -841,17 +845,26 @@ def is_isomorphic(M: Module, N: Module) -> bool:
 # ----------------------------------------------------------------------
 
 def submodule(M: Module, span: Matrix, name: str = ""):
-    """The submodule on the given (independent) columns; returns (S, incl)."""
+    """The submodule on the given (independent) columns; returns (S, incl).
+
+    One elimination of [span | A_1.span | ... | A_d.span] certifies both
+    properties: the span is independent exactly when its n columns are
+    all pivots, and action-stable exactly when no pivot lies past them.
+    Then rows 0..n-1 of block b hold the unique X_b with span.X_b =
+    A_b.span.
+    """
     A, F = M.algebra, M.algebra.field
-    if rank(span) != span.cols:
-        raise ModuleError("submodule span columns are dependent")
-    action = []
-    for b in range(A.dim):
-        X = solve(span, M.action[b] * span)
-        if X is None:
-            raise ModuleError("span is not action-stable")
-        action.append(X)
-    S = Module(A, span.cols, action, name=name, _skip_checks=True)
+    n = span.cols
+    R, pivots = rref(Matrix(F, np.hstack([span.a] + [(act * span).a
+                                                     for act in M.action])))
+    where = f"submodule of {_named(M)} on {n} span columns"
+    if pivots[:n] != list(range(n)):
+        raise ModuleError(f"{where}: span columns are dependent")
+    if len(pivots) > n:
+        raise ModuleError(f"{where}: span is not action-stable")
+    action = [Matrix(F, R.a[:n, n * (b + 1):n * (b + 2)].copy())
+              for b in range(A.dim)]
+    S = Module(A, n, action, name=name, _skip_checks=True)
     return S, ModuleMap(S, M, span, _skip_checks=True)
 
 
@@ -865,8 +878,21 @@ def quotient_module(M: Module, span: Matrix, name: str = ""):
 
 
 def kernel_module(f: ModuleMap, name: str = ""):
+    """(ker f, inclusion) on the canonical kernel basis K of f's matrix.
+
+    K[free, :] is the identity, where the free row of each column is its
+    last nonzero entry, and the kernel of a module map is a submodule.  So
+    A_b.K = K.X_b gives X_b = (A_b.K)[free, :] = A_b[free, :].K, with no
+    elimination past the one that found K.
+    """
+    M, F = f.source, f.source.algebra.field
     K = kernel_basis(f.matrix)
-    return submodule(f.source, K, name=name or f"ker({f.name})")
+    nonzero = np.asarray(K.a != F.of(0), dtype=bool)
+    free = np.where(nonzero, np.arange(K.rows)[:, None], -1).max(axis=0, initial=-1)
+    action = [Matrix(F, act.a[free, :]) * K for act in M.action]
+    S = Module(M.algebra, K.cols, action, name=name or f"ker({f.name})",
+               _skip_checks=True)
+    return S, ModuleMap(S, M, K, _skip_checks=True)
 
 
 def image_module(f: ModuleMap, name: str = ""):
@@ -896,9 +922,9 @@ def direct_sum(mods, name: str = ""):
     for m in mods:
         inj = Matrix.zeros(F, dim, m.dim)
         prj = Matrix.zeros(F, m.dim, dim)
-        for i in range(m.dim):
-            inj.a[off + i, i] = F.of(1)
-            prj.a[i, off + i] = F.of(1)
+        idx = np.arange(m.dim)
+        inj.a[off + idx, idx] = F.of(1)
+        prj.a[idx, off + idx] = F.of(1)
         injs.append(ModuleMap(m, S, inj, _skip_checks=True))
         projs.append(ModuleMap(S, m, prj, _skip_checks=True))
         off += m.dim
@@ -967,8 +993,11 @@ def socle(M: Module):
 def projective_cover(M: Module):
     """The minimal deflation from a projective; returns (P, deflation).
 
-    P = direct sum of P_i with the multiplicity of S_i in top(M); the lifted
-    map is checked surjective with kernel inside rad P.
+    P = direct sum of P_i with the multiplicity of S_i in top(M).  The
+    lifted map f is certified by one rank on the top q: M -> M/JM.  JP lies
+    in ker(q.f) and dim P/JP is the number of summands, so rank(q.f) =
+    dim top(M) makes f onto (Nakayama), and with that many summands also
+    makes ker(q.f) = JP, so ker f lies in rad P.
     """
     A, F = M.algebra, M.algebra.field
     if M.dim == 0:
@@ -999,15 +1028,11 @@ def projective_cover(M: Module):
         raise ModuleError(f"{M.name}: zero top on a nonzero module")
     P, _, _ = direct_sum(summands, name=f"P({M.name})")
     mat = Matrix(F, np.hstack(blocks))
-    f = ModuleMap(P, M, mat, _skip_checks=True)
-    if not f.is_surjective():
+    if rank(q.matrix * mat) != T.dim:
         raise ModuleError(f"{where}: lift is not surjective")
-    # kernel inside rad P, tested on the span of the columns of J.P
-    ker = kernel_basis(mat)
-    radspan = _radical_span(P)
-    if rank(radspan.hstack(ker)) != rank(radspan):
+    if len(summands) != T.dim:
         raise ModuleError(f"{where}: not minimal, kernel not in rad P")
-    return P, f
+    return P, ModuleMap(P, M, mat, _skip_checks=True)
 
 
 def injective_envelope(M: Module):

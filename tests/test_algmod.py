@@ -493,10 +493,16 @@ def test_cover_matches_reference_on_wild_resolution():
         M, _ = kernel_module(projective_cover(M)[1])
 
 
+def _repeat_first_column(A):
+    """column_space_basis with its first column twice: one summand too many."""
+    B = column_space_basis(A)
+    return B.hstack(B.take_columns([0])) if B.cols else B
+
+
 @pytest.mark.parametrize("name, patch, message", [
     ("solve", lambda *a: None, "projection preimage failed at vertex 1"),
     ("rank", lambda *a: -1, "lift is not surjective"),
-    ("kernel_basis", lambda A: Matrix.identity(A.field, A.cols), "not minimal"),
+    ("column_space_basis", _repeat_first_column, "not minimal"),
 ], ids=["preimage", "surjective", "minimal"])
 def test_cover_errors_name_module_and_step(dn, monkeypatch, name, patch, message):
     projective_indecs(dn)       # built before the patch

@@ -14,13 +14,19 @@ implies its property:
 - the regular modules: the left regular action satisfies the structure
   constants by associativity, and the unit acts as 1 by the unit axiom;
 - the projective inclusions: right multiplication by e commutes with left
-  multiplication by associativity, and ``submodule`` solves for the action
-  on its image, so P_i is a submodule and its inclusion intertwines;
+  multiplication by associativity, and ``submodule`` finds the action on
+  its image by one elimination that also certifies the image stable, so
+  P_i is a submodule and its inclusion intertwines;
+- a kernel module: the kernel of a module map is a submodule, so the
+  action read off the free rows of the kernel basis K satisfies
+  K.X_b = A_b.K;
 - hom bases: each basis map intertwines the generators, and the
   generators (idempotents plus lifts of a basis of J/J^2) generate A
   because ``_validate`` certifies J as a nilpotent ideal with A = kE + J;
 - a projective cover's deflation: each column block is a |-> a.w for an
-  element w of M, which is A-linear because M is a module;
+  element w of M, which is A-linear because M is a module; it is onto
+  with kernel inside rad P because its composite with M -> M/JM has rank
+  dim M/JM, which is the number of summands of P (Nakayama's lemma);
 - an injective envelope's inflation: it is the transpose of the cover of
   D(M) over A^op, and a transpose of an A^op-linear map is A-linear;
 - the simples: A acts on S_i through A -> A/J = k^r, an algebra map
@@ -32,16 +38,18 @@ Every test runs on each shipped fixture and on small cyclic Nakayama
 algebras over GF(2), GF(3) and Q.
 """
 
+import random
+
 import numpy as np
 import pytest
 
 from stablext import algmod
 from stablext.algmod import (
-    ModuleMap, Module, column_space_basis, hom_space, image_module,
-    injective_envelope, injective_indecs, projective_cover, projective_indecs,
-    rad, simples,
+    ModuleMap, Module, column_space_basis, direct_sum, hom_space, image_module,
+    injective_envelope, injective_indecs, kernel_module, projective_cover,
+    projective_indecs, rad, random_hom, simples,
 )
-from stablext.exactlin import GF, QQ
+from stablext.exactlin import GF, QQ, kernel_basis, rank
 from stablext.fixtures import FIXTURE_NAMES, by_name, cyclic_nakayama
 from stablext.resolve import ExtElement, Resolver
 
@@ -110,6 +118,28 @@ def test_covers_and_envelopes_intertwine(alg):
     for M in _modules(alg):
         projective_cover(M)[1]._validate()
         injective_envelope(M)[1]._validate()
+
+
+def test_covers_are_onto_with_kernel_in_radical(alg):
+    for M in _modules(alg):
+        P, f = projective_cover(M)
+        assert rank(f.matrix) == M.dim
+        radspan = rad(P)[1].matrix
+        assert rank(radspan.hstack(kernel_basis(f.matrix))) == rank(radspan)
+
+
+def test_kernel_actions_intertwine(alg):
+    # random maps too, so kernel basis columns have several nonzero entries
+    rng = random.Random(3)
+    mods = _modules(alg)
+    maps = [projective_cover(M)[1] for M in mods]
+    for M in mods:
+        S = direct_sum([M, rng.choice(mods)])[0]
+        maps.append(random_hom(rng, S, rng.choice(mods)))
+    for f in maps:
+        K, incl = kernel_module(f)
+        incl._validate()
+        K._validate()
 
 
 def test_ext_basis_elements_are_cocycles(alg):
