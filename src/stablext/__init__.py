@@ -41,7 +41,7 @@ from .frobenius import (
 from .phantom import (
     angled, coangled, compose_mod_p, divide_by_sigma, ext_ring, is_phantom,
     is_phantom_right, is_quasi_invertible, luf, p_member, p_member_factoring,
-    p_subspace, phi, ruf,
+    p_subspace, phi, ruf, unit_coset,
 )
 from .stablecat import (
     StableHomSpace, StableMorphism, classical_stable_dim, embedding_dim_check,

@@ -30,7 +30,7 @@ from .resolve import ExtElement, connecting_map, pull_back, push_out
 __all__ = [
     "PModSpace", "GluedPair", "RingTable",
     "p_subspace", "p_member", "p_member_factoring",
-    "is_quasi_invertible", "is_phantom", "is_phantom_right",
+    "unit_coset", "is_quasi_invertible", "is_phantom", "is_phantom_right",
     "ruf", "luf", "coangled", "angled", "divide_by_sigma",
     "compose_mod_p", "ext_ring", "phi",
 ]
@@ -102,6 +102,7 @@ def p_member_factoring(ctx: FrobeniusContext, gamma: ExtElement) -> bool:
     inflation of the source into a relative projective, so membership is a
     rank test against the span of pull-backs along that inflation.
     """
+    _check_algebra(ctx, gamma.M, gamma.N)
     resolver = ctx.resolver
     M, N = gamma.M, gamma.N
     if ctx.n == 0:
@@ -118,34 +119,61 @@ def p_member_factoring(ctx: FrobeniusContext, gamma: ExtElement) -> bool:
     return rank(span) == rank(span.hstack(target))
 
 
+def _check_algebra(ctx: FrobeniusContext, M: Module, N: Module) -> None:
+    """Refuse a map or class M -> N over another algebra than the context's."""
+    if M.algebra is not ctx.algebra:
+        raise ValueError(
+            f"{M.name or M} -> {N.name or N} is over "
+            f"{M.algebra.name or M.algebra}, not over the context's algebra "
+            f"{ctx.algebra.name or ctx.algebra}")
+
+
 # ----------------------------------------------------------------------
 # Quasi-invertibles and phantoms
 # ----------------------------------------------------------------------
 
+def unit_coset(ctx: FrobeniusContext, f: ModuleMap) -> Matrix:
+    """The coset of the target's canonical unit pulled back along f: M -> N,
+    in Ext^n(M, syz^n N)/P (f itself modulo P when n = 0).
+
+    T(f), phi(f) and the phantom test all read it, so it is computed once
+    per map structure and returned read-only.
+    """
+    _check_algebra(ctx, f.source, f.target)
+
+    def build():
+        space = p_subspace(ctx, f.source, ctx.syz(f.target))
+        coset = space.qcoords(pull_back(ctx.unit_element(f.target), f))
+        coset.a.flags.writeable = False
+        return coset
+
+    return ctx.memo("unit_coset", (f,), build)
+
+
 def is_quasi_invertible(ctx: FrobeniusContext, f: ModuleMap) -> bool:
     """Cokernel criterion: f acts invertibly on Ext^{n+1} exactly when the
     cokernel of [f, e]^t into N (+) I(M) is relative projective."""
-    M, N = f.source, f.target
-    e = ctx.envelope(M)
-    S, injs, _ = direct_sum([N, e.target])
-    h = (injs[0] * f) + (injs[1] * e)
-    L, _ = cokernel_module(h)
-    return ctx.is_n_projective(L)
+    _check_algebra(ctx, f.source, f.target)
+
+    def build():
+        e = ctx.envelope(f.source)
+        _, injs, _ = direct_sum([f.target, e.target])
+        L, _ = cokernel_module((injs[0] * f) + (injs[1] * e))
+        return ctx.is_n_projective(L)
+
+    return ctx.memo("quasi_inv", (f,), build)
 
 
 def is_phantom(ctx: FrobeniusContext, f: ModuleMap) -> bool:
-    """Left annihilation of Ext^n/P: one canonical unit pull-back suffices."""
-    N = f.target
-    if ctx.n == 0:
-        gamma = ExtElement(ctx.resolver, f.source, N, 0, f, _skip_checks=True)
-        return p_member(ctx, gamma)
-    delta = ctx.unit_down(N, ctx.n)
-    return p_member(ctx, pull_back(delta.element, f))
+    """Left annihilation of Ext^n/P: the canonical unit pulled back along f
+    lies in P."""
+    return unit_coset(ctx, f).is_zero()
 
 
 def is_phantom_right(ctx: FrobeniusContext, f: ModuleMap) -> bool:
     """Right annihilation, through the dual route: push the canonical
     co-unit of the source out along f (degree 0 uses the factoring solve)."""
+    _check_algebra(ctx, f.source, f.target)
     X = f.source
     if ctx.n == 0:
         gamma = ExtElement(ctx.resolver, X, f.target, 0, f, _skip_checks=True)
@@ -163,23 +191,26 @@ def ruf(ctx: FrobeniusContext, gamma: ExtElement, variant: str = "canonical"):
 
     delta is the truncated injective coresolution of the left end (or its
     padded variant), f solves the pull-back equation in the canonical coset
-    coordinates; the factorization is verified before returning.
+    coordinates; the factorization is verified before returning, once per
+    class structure (the ends and the cocycle) and variant.
     """
+    _check_algebra(ctx, gamma.M, gamma.N)
     if gamma.n < 1:
         raise ValueError("unit factorizations need degree >= 1")
-    X = gamma.N
-    k = gamma.n
-    delta = _ruf_unit(ctx, X, k, variant)
-    E = delta.conflation.right
-    mat, homs = _pullback_matrix(ctx, delta, gamma.M)
-    space = ctx.resolver.ext(gamma.M, X, k)
-    x = solve(mat, space.coords(gamma))
-    if x is None:
-        raise CertificationError("right unit factorization solve failed")
-    f = homs.combine(x)
-    if not pull_back(delta.element, f).same_class(gamma):
-        raise CertificationError("right unit factorization did not verify")
-    return delta, f
+
+    def build():
+        delta = _ruf_unit(ctx, gamma.N, gamma.n, variant)
+        mat, homs = _pullback_matrix(ctx, delta, gamma.M)
+        space = ctx.resolver.ext(gamma.M, gamma.N, gamma.n)
+        x = solve(mat, space.coords(gamma))
+        if x is None:
+            raise CertificationError("right unit factorization solve failed")
+        f = homs.combine(x)
+        if not pull_back(delta.element, f).same_class(gamma):
+            raise CertificationError("right unit factorization did not verify")
+        return delta, f
+
+    return ctx.memo("ruf", (gamma.M, gamma.cocycle), build, gamma.n, variant)
 
 
 def _ruf_unit(ctx: FrobeniusContext, X: Module, k: int, variant: str):
@@ -423,6 +454,8 @@ def compose_mod_p(ctx: FrobeniusContext, N: Module, K: Module,
                   ruf_variant: str = "canonical") -> Matrix:
     """The composition class of beta in Ext^n(N, syz^n K) with gamma in
     Ext^n(M, syz^n N), as quotient coordinates in Ext^n(M, syz^n K)/P."""
+    for elt in (beta, gamma):
+        _check_algebra(ctx, elt.M, elt.N)
     n = ctx.n
     M = gamma.M
     OmK = ctx.syz(K)
@@ -439,15 +472,24 @@ def compose_mod_p(ctx: FrobeniusContext, N: Module, K: Module,
     if beta.N is not OmK and beta.N != OmK:
         raise ValueError("beta is not anchored at the canonical syzygy of K")
     delta, f = ruf(ctx, gamma, variant=ruf_variant)
-    dN = ctx.unit_down(N, n)
-    pair = coangled(ctx, dN, delta)
-    a1, b1 = pair.a1, pair.a2
-    beta_a1 = pull_back(beta, a1)
-    mid_space = p_subspace(ctx, a1.source, OmK)
-    divided = divide_by_sigma(ctx, b1, "right", OmK, mid_space.qcoords(beta_a1))
-    E_space = p_subspace(ctx, b1.target, OmK)
-    beta_prime = E_space.representative(divided)
-    return out_space.qcoords(pull_back(beta_prime, f))
+    return out_space.qcoords(pull_back(_beta_prime(ctx, beta, delta), f))
+
+
+def _beta_prime(ctx: FrobeniusContext, beta: ExtElement,
+                delta: UnitConflation) -> ExtElement:
+    """The class beta' on the right end of delta with beta' . b1 = beta . a1
+    modulo P, for the co-angled pair (a1, b1) gluing the canonical unit of
+    beta's source to delta; computed once per class structure and delta."""
+    def build():
+        OmK = beta.N
+        pair = coangled(ctx, ctx.unit_down(beta.M, ctx.n), delta)
+        a1, b1 = pair.a1, pair.a2
+        mid_space = p_subspace(ctx, a1.source, OmK)
+        divided = divide_by_sigma(ctx, b1, "right", OmK,
+                                  mid_space.qcoords(pull_back(beta, a1)))
+        return p_subspace(ctx, b1.target, OmK).representative(divided)
+
+    return ctx.memo("beta_prime", (beta.M, beta.cocycle, delta), build)
 
 
 # ----------------------------------------------------------------------
@@ -504,9 +546,7 @@ def ext_ring(ctx: FrobeniusContext, M: Module) -> RingTable:
 
 def phi(ctx: FrobeniusContext, f: ModuleMap) -> Matrix:
     """The ring morphism End(M) -> Ext^n(M, syz^n M)/P: the coset of the
-    canonical unit pulled back along f."""
+    canonical unit pulled back along f (read-only, see :func:`unit_coset`)."""
     if f.source is not f.target and f.source != f.target:
         raise ValueError("phi needs an endomorphism")
-    M = f.source
-    space = p_subspace(ctx, M, ctx.syz(M))
-    return space.qcoords(pull_back(ctx.unit_element(M), f))
+    return unit_coset(ctx, f)

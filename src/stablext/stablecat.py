@@ -14,10 +14,10 @@ from .exactlin import Matrix, quotient_reps, rank, solve
 from .algmod import Module, ModuleMap, column_space_basis, identity_map
 from .frobenius import CertificationError, FrobeniusContext, UnitConflation
 from .phantom import (
-    PModSpace, _has_two_sided_inverse, angled, compose_mod_p, divide_by_sigma,
-    p_subspace,
+    PModSpace, _check_algebra, _has_two_sided_inverse, angled, compose_mod_p,
+    divide_by_sigma, p_subspace, unit_coset,
 )
-from .resolve import ExtElement, connecting_map, pull_back, push_out
+from .resolve import ExtElement, connecting_map, push_out
 
 __all__ = [
     "StableHomSpace", "StableMorphism",
@@ -98,9 +98,10 @@ def stable_hom(ctx: FrobeniusContext, M: Module, N: Module) -> StableHomSpace:
 
 
 def functor_T(ctx: FrobeniusContext, f: ModuleMap) -> StableMorphism:
-    """T(f): the canonical unit conflation of the target pulled back along f."""
-    space = stable_hom(ctx, f.source, f.target)
-    return space.from_element(pull_back(ctx.unit_element(f.target), f))
+    """T(f): the canonical unit conflation of the target pulled back along f,
+    as its coset (see :func:`~stablext.phantom.unit_coset`)."""
+    coset = unit_coset(ctx, f)
+    return stable_hom(ctx, f.source, f.target).morphism(coset)
 
 
 def stable_compose(ctx: FrobeniusContext, g: StableMorphism,
@@ -242,6 +243,7 @@ def classical_stable_dim(ctx: FrobeniusContext, M: Module, N: Module) -> int:
 
 def classical_stable_class(ctx: FrobeniusContext, f: ModuleMap) -> Matrix:
     """Coordinates of f in Hom(M, N) modulo the projective-factoring span."""
+    _check_algebra(ctx, f.source, f.target)
     hb, proj = _classical_quotient(ctx, f.source, f.target)
     return proj * hb.coords(f)
 

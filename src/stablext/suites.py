@@ -23,7 +23,7 @@ from .fixtures import (
 )
 from .frobenius import FrobeniusContext, gorenstein_one_search, proj_dim
 from .phantom import (
-    compose_mod_p, ext_ring, is_phantom, is_phantom_right,
+    _check_algebra, compose_mod_p, ext_ring, is_phantom, is_phantom_right,
     is_quasi_invertible, p_subspace, phi,
 )
 from .resolve import (
@@ -184,6 +184,7 @@ def criterion_4(fx, rng, per_fixture=100):
 
 
 def _invertible_action(ctx, f, X):
+    _check_algebra(ctx, f.source, f.target)
     n = ctx.n
     F = ctx.algebra.field
     src = ctx.resolver.ext(X, f.source, n + 1)
@@ -226,7 +227,9 @@ def criterion_5(fx, rng, samples=100):
 
 
 def criterion_6(fx, rng, per_module=12):
-    """ring structure on the stable endomorphism side and the morphism phi"""
+    """ring structure on the stable endomorphism side and the morphism phi
+    ("phi is zero on phantoms" holds by construction, since phi and
+    is_phantom read one unit_coset; criterion 3 checks is_phantom)"""
     rings = 0
     for name, ctx, inv in fx:
         for M in inv:
@@ -267,7 +270,9 @@ def criterion_6(fx, rng, per_module=12):
 
 def criterion_7(fx, rng, per_fixture=200):
     """the canonical functor: additive, functorial, kills phantoms,
-    inverts quasi-invertibles"""
+    inverts quasi-invertibles ("T kills phantoms" holds by construction,
+    since T and is_phantom read one unit_coset; criterion 3 checks
+    is_phantom)"""
     total = sigmas = phantoms = 0
     for name, ctx, inv in fx:
         for _ in range(per_fixture):

@@ -728,3 +728,8 @@ def test_repeated_criterion_7_adds_no_structure_entries():
     assert sum(last.values()) <= sum(first.values()) + 100
     for kind in ("hom", "lift", "ext", "resolution"):
         assert 0 < first[kind] and last[kind] <= first[kind] + 25, kind
+    # the per-morphism answers grow only with the maps a new seed draws
+    # that no earlier run drew
+    answers = ("unit_coset", "quasi_inv", "ruf", "beta_prime")
+    assert all(first[kind] > 0 for kind in answers)
+    assert sum(last[k] for k in answers) <= sum(first[k] for k in answers) + 50
